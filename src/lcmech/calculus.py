@@ -78,10 +78,6 @@ def partial(e: Expr, index: int, order: int) -> Expr:
     raise ExprError(f"cannot differentiate node {e!r}")
 
 
-def gradient(e: Expr, space: JetSpace, order: int = 0) -> list[Expr]:
-    return [partial(e, i, order) for i in range(1, space.dim + 1)]
-
-
 def _dt(e: Expr, space: JetSpace) -> Expr:
     if isinstance(e, (Num, Param)):
         return ZERO

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .euler_lagrange import (
     conformal_rhs,
 )
 from .evaluate import equivalent
-from .modelfile import ModelFileError, jet_key, load_model
+from .modelfile import E_VALUE, ModelFileError, jet_key, load_model, parse_initial
 from .nodes import ExprError, JetSpace, exp, mul
 from .normalize import is_zero, normalize
 from .printing import to_latex, to_text
@@ -51,6 +52,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# Largest relative distance of (t1 - t0) / dt from a whole number of steps.
+SPAN_TOL = 1e-9
 
 _LETTERS = "ijklmnpr"
 
@@ -303,11 +307,20 @@ def cmd_simulate(args) -> int:
         raise ModelFileError(
             "E_MISSING_KEY", "simulation needs t0, t1, dt (block or overrides)"
         )
+    if not all(math.isfinite(v) for v in (t0, t1, dt)):
+        raise ModelFileError(E_VALUE, "t0, t1 and dt must be finite")
+    if dt <= 0:
+        raise ModelFileError(E_VALUE, f"dt must be positive, not {dt!r}")
+    if t1 <= t0:
+        raise ModelFileError(E_VALUE, f"t1 = {t1!r} must be greater than t0 = {t0!r}")
+    steps = (t1 - t0) / dt
+    if abs(steps - round(steps)) > SPAN_TOL * steps:
+        raise ModelFileError(
+            E_VALUE, f"t1 - t0 = {t1 - t0!r} is not a whole number of steps dt = {dt!r}"
+        )
     initial = dict(sim.initial) if sim else {}
     if args.initial:
-        for chunk in args.initial.split(","):
-            key, val = chunk.split(":", 1)
-            initial[key.strip()] = float(val)
+        initial.update(parse_initial(args.initial))
     eqs = conformal_el_expanded(model)
     ode = to_explicit_ode(eqs, model)
     r, k = ode.dim, ode.top_order

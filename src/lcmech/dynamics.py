@@ -9,14 +9,14 @@ the Legendre transform and the locally conformal Hamiltonian vector field.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .calculus import ConformalFactor, partial, substitute
-from .evaluate import compile_expr
+from .evaluate import compile_expr, compile_vector, evaluate
 from .nodes import (
     Expr,
     ExprError,
@@ -57,61 +57,74 @@ class ExplicitODE:
     dim: int
     top_order: int
     matrix_exprs: list[list[Expr]]
-    residual_funcs: list = field(repr=False)
-    rest_funcs: list = field(repr=False)
-    matrix_funcs: list = field(repr=False)
     constant_matrix: np.ndarray | None
-    params: dict[str, float]
+    # y -> the r*r mass-matrix entries (row-major), then the r entries of b.
+    system: Callable = field(repr=False)
+    # system(y) -> (q_(k), det M), from M q_(k) = -b.
+    solve: Callable = field(repr=False)
+    # The state followed by the top jets -> the r residuals.
+    residuals: Callable = field(repr=False)
 
     @property
     def state_size(self) -> int:
         return self.dim * self.top_order
 
-    def point_from_state(self, y) -> dict[tuple[int, int], float]:
-        r = self.dim
-        return {
-            (i + 1, s): float(y[i + r * s])
-            for s in range(self.top_order)
-            for i in range(r)
-        }
-
-    def mass_matrix(self, point) -> np.ndarray:
-        if self.constant_matrix is not None:
-            return self.constant_matrix
-        m = np.empty((self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(self.dim):
-                m[a, b] = self.matrix_funcs[a][b](point, self.params)
-        return m
-
-    def top_derivatives(self, y) -> tuple[np.ndarray, float]:
+    def top_derivatives(self, y) -> tuple[list[float], float]:
         """Solve for q_(k); returns (values, det of the mass matrix)."""
-        point = self.point_from_state(y)
-        for i in range(1, self.dim + 1):
-            point[(i, self.top_order)] = 0.0
-        m = self.mass_matrix(point)
-        det = float(np.linalg.det(m))
-        if abs(det) <= DET_THRESHOLD:
-            raise SingularDynamicsError("mass matrix is singular", math.nan)
-        rest = np.array([f(point, self.params) for f in self.rest_funcs])
-        return np.linalg.solve(m, -rest), det
+        return self.solve(self.system(y))
 
-    def rhs(self, y) -> np.ndarray:
-        top, _ = self.top_derivatives(y)
-        out = np.empty_like(np.asarray(y, dtype=float))
-        r = self.dim
-        out[: r * (self.top_order - 1)] = np.asarray(y, dtype=float)[r:]
-        out[r * (self.top_order - 1) :] = top
-        return out
+    def rhs(self, y) -> list[float]:
+        top, _ = self.solve(self.system(y))
+        return [*y[self.dim :], *top]
 
-    def residual_at(self, y) -> float:
-        """Max |residual| of the generating equations at a state (top jets
-        recomputed from the solve)."""
-        top, _ = self.top_derivatives(y)
-        point = self.point_from_state(y)
-        for i in range(1, self.dim + 1):
-            point[(i, self.top_order)] = float(top[i - 1])
-        return max(abs(f(point, self.params)) for f in self.residual_funcs)
+    def residual_at(self, y) -> tuple[float, float]:
+        """Max |residual| of the generating equations at a state, with the top
+        jets from the solve, and the det of the mass matrix there."""
+        top, det = self.top_derivatives(y)
+        return max(abs(v) for v in self.residuals([*y, *top])), det
+
+
+def _compile_solver(r: int):
+    """Gaussian elimination with partial pivoting, unrolled for r unknowns.
+
+    Returns f(s) -> (x, det) solving M x = -b, where ``s`` holds M row-major
+    and then b.  det is the signed product of the pivots; it is tested
+    against DET_THRESHOLD before any back substitution.
+    """
+    rows = [[f"m{i}_{j}" for j in range(r)] + [f"c{i}"] for i in range(r)]
+    lines = [
+        "def solve(s):",
+        f" {', '.join(n for row in rows for n in row[:r])}, "
+        f"{', '.join(row[r] for row in rows)}, = s",
+        *(f" {row[r]} = -{row[r]}" for row in rows),
+        " det = 1.0",
+    ]
+    for k in range(r):
+        pivot = rows[k][k]
+        for i in range(k + 1, r):
+            # Swapping names is swapping rows: cols < k are already eliminated.
+            lines += [
+                f" if abs({rows[i][k]}) > abs({pivot}):",
+                f"  {', '.join(rows[k][k:] + rows[i][k:])} = "
+                f"{', '.join(rows[i][k:] + rows[k][k:])}",
+                "  det = -det",
+            ]
+        lines += [f" if {pivot} == 0.0: raise singular()", f" det *= {pivot}"]
+        for i in range(k + 1, r):
+            lines.append(f" f = {rows[i][k]} / {pivot}")
+            lines += [f" {rows[i][j]} -= f * {rows[k][j]}" for j in range(k + 1, r + 1)]
+    lines.append(" if abs(det) <= DET_THRESHOLD: raise singular()")
+    for k in range(r - 1, -1, -1):
+        lines.append(f" x{k} = {rows[k][r]} / {rows[k][k]}")
+        lines += [f" {rows[i][r]} -= {rows[i][k]} * x{k}" for i in range(k)]
+    lines.append(f" return [{', '.join(f'x{k}' for k in range(r))}], det")
+    env = {
+        "abs": abs,
+        "DET_THRESHOLD": DET_THRESHOLD,
+        "singular": lambda: SingularDynamicsError("mass matrix is singular", math.nan),
+    }
+    exec("\n".join(lines), env)
+    return env["solve"]
 
 
 def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
@@ -119,7 +132,9 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
 
     Degenerate Lagrangians lower the effective order below 2n (the planar
     chiral oscillator is third order, not fourth), so the order is read off
-    the residuals, not the nominal one.
+    the residuals, not the nominal one.  The mass matrix and the residuals
+    with the top jets set to zero are compiled into one function of the
+    state, the full residuals into a second.
     """
     if model.sigma.is_abstract:
         raise ReductionError("cannot reduce equations with an abstract conformal factor")
@@ -148,24 +163,21 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
         )
     zero_top = {t: ZERO for t in top}
     rest_exprs = [normalize(substitute(r, zero_top)) for r in eqs.residuals]
-    matrix_funcs = [[compile_expr(e) for e in row] for row in matrix_exprs]
-    residual_funcs = [compile_expr(r) for r in eqs.residuals]
-    rest_funcs = [compile_expr(r) for r in rest_exprs]
+    r = space.dim
+    slots = {(i, s): (i - 1) + r * s for s in range(k + 1) for i in range(1, r + 1)}
+    params = model.parameters
+    entries = [e for row in matrix_exprs for e in row]
     constant = None
-    if all(not jets_in(e) for row in matrix_exprs for e in row):
-        point: dict = {}
-        constant = np.array(
-            [[f(point, model.parameters) for f in row] for row in matrix_funcs]
-        )
+    if all(not jets_in(e) for e in entries):
+        constant = np.array([[evaluate(e, {}, params) for e in row] for row in matrix_exprs])
     return ExplicitODE(
-        dim=space.dim,
+        dim=r,
         top_order=k,
         matrix_exprs=matrix_exprs,
-        residual_funcs=residual_funcs,
-        rest_funcs=rest_funcs,
-        matrix_funcs=matrix_funcs,
         constant_matrix=constant,
-        params=dict(model.parameters),
+        system=compile_vector(entries + rest_exprs, slots, params),
+        solve=_compile_solver(r),
+        residuals=compile_vector(eqs.residuals, slots, params),
     )
 
 
@@ -205,13 +217,51 @@ class Trajectory:
         return names
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.column_names())
-            for t, state, res in zip(self.times, self.states, self.residuals):
-                writer.writerow(
-                    [repr(float(t))] + [repr(float(v)) for v in state] + [repr(float(res))]
-                )
+        rows = [",".join(self.column_names())]
+        for t, state, res in zip(
+            self.times.tolist(), self.states.tolist(), self.residuals.tolist()
+        ):
+            rows.append(",".join([repr(t), *map(repr, state), repr(res)]))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+
+
+def _failed_at(err: Exception, t: float) -> SingularDynamicsError:
+    """A singular mass matrix, or an overflow or division by zero in the
+    vector field, as a SingularDynamicsError carrying its time."""
+    if isinstance(err, SingularDynamicsError):
+        return SingularDynamicsError(f"singular mass matrix at t={t:.6g}", t)
+    return SingularDynamicsError(f"{type(err).__name__} in the vector field at t={t:.6g}", t)
+
+
+def _rk4(f, y: list[float], t0: float, dt: float, steps: int):
+    """Classical fixed-step RK4 on a flat list of floats.
+
+    Returns the grid times and the state at each.  A failure of ``f`` is
+    raised as a SingularDynamicsError with the time of the failing step, as
+    is a step that leaves the state non-finite.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    times, states = [t0], [y]
+    t = t0
+    for step in range(steps):
+        try:
+            k1 = f(y)
+            k2 = f([a + half * b for a, b in zip(y, k1)])
+            k3 = f([a + half * b for a, b in zip(y, k2)])
+            k4 = f([a + dt * b for a, b in zip(y, k3)])
+        except (SingularDynamicsError, ArithmeticError) as err:
+            raise _failed_at(err, t) from err
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, y)):
+            raise SingularDynamicsError(f"non-finite state at t={t:.6g}", t)
+        t = t0 + (step + 1) * dt
+        times.append(t)
+        states.append(y)
+    return times, states
 
 
 def integrate(
@@ -222,8 +272,12 @@ def integrate(
     dt: float,
     residual_stride: int = 1,
 ) -> Trajectory:
-    """Classical fixed-step RK4 on the first-order reduction."""
-    if dt <= 0:
+    """Classical fixed-step RK4 on the first-order reduction.
+
+    The residual and the mass-matrix determinant are sampled every
+    ``residual_stride`` states and at the last one.
+    """
+    if not dt > 0:
         raise ValueError("dt must be positive")
     y = np.asarray(init, dtype=float)
     if y.shape != (ode.state_size,):
@@ -232,38 +286,24 @@ def integrate(
             f"({ode.dim} coordinates x jets of order < {ode.top_order})"
         )
     steps = int(round((t1 - t0) / dt))
-    times = [t0]
-    states = [y.copy()]
+    times, states = _rk4(ode.rhs, y.tolist(), t0, dt, steps)
+    residuals = [0.0] * len(times)
     det_min = math.inf
-    t = t0
-    for step in range(steps):
+    samples = list(range(0, len(times), residual_stride))
+    if samples[-1] != len(times) - 1:
+        samples.append(len(times) - 1)
+    for idx in samples:
         try:
-            k1 = ode.rhs(y)
-            k2 = ode.rhs(y + 0.5 * dt * k1)
-            k3 = ode.rhs(y + 0.5 * dt * k2)
-            k4 = ode.rhs(y + dt * k3)
-        except SingularDynamicsError as err:
-            raise SingularDynamicsError(
-                f"singular mass matrix at t={t:.6g}", t
-            ) from err
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise SingularDynamicsError(f"non-finite state at t={t:.6g}", t)
-        t = t0 + (step + 1) * dt
-        times.append(t)
-        states.append(y.copy())
-    residuals = np.zeros(len(times))
-    for idx in range(0, len(times), residual_stride):
-        residuals[idx] = ode.residual_at(states[idx])
-        _, det = ode.top_derivatives(states[idx])
+            residuals[idx], det = ode.residual_at(states[idx])
+        except (SingularDynamicsError, ArithmeticError) as err:
+            raise _failed_at(err, times[idx]) from err
         det_min = min(det_min, abs(det))
-    residuals[-1] = ode.residual_at(states[-1])
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
         dim=ode.dim,
         top_order=ode.top_order,
-        residuals=residuals,
+        residuals=np.array(residuals),
         det_min=det_min,
     )
 
@@ -449,23 +489,17 @@ def conformal_source_matrix(ham: HamiltonianModel, q, p) -> np.ndarray:
 def integrate_hamiltonian(ham: HamiltonianModel, q0, p0, t0, t1, dt):
     """RK4 on the conformal Hamiltonian field; returns (times, qs, ps)."""
     field = conformal_hamilton_field(ham)
-    q = np.asarray(q0, dtype=float)
-    p = np.asarray(p0, dtype=float)
+    r = ham.dim
+
+    def flat_field(z):
+        dq, dp = field(z[:r], z[r:])
+        return [*dq.tolist(), *dp.tolist()]
+
+    z = [*map(float, q0), *map(float, p0)]
     steps = int(round((t1 - t0) / dt))
-    times = [t0]
-    qs = [q.copy()]
-    ps = [p.copy()]
-    for step in range(steps):
-        dq1, dp1 = field(q, p)
-        dq2, dp2 = field(q + 0.5 * dt * dq1, p + 0.5 * dt * dp1)
-        dq3, dp3 = field(q + 0.5 * dt * dq2, p + 0.5 * dt * dp2)
-        dq4, dp4 = field(q + dt * dq3, p + dt * dp3)
-        q = q + (dt / 6.0) * (dq1 + 2 * dq2 + 2 * dq3 + dq4)
-        p = p + (dt / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        times.append(t0 + (step + 1) * dt)
-        qs.append(q.copy())
-        ps.append(p.copy())
-    return np.array(times), np.array(qs), np.array(ps)
+    times, states = _rk4(flat_field, z, t0, dt, steps)
+    zs = np.array(states)
+    return np.array(times), zs[:, :r], zs[:, r:]
 
 
 def lagrangian_hamiltonian_crosscheck(

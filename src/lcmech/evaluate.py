@@ -92,29 +92,47 @@ def evaluate(e: Expr, point: dict[tuple[int, int], float], params: dict[str, flo
     return float(value)
 
 
-def _codegen(e: Expr) -> str:
+def _symbol_name(e: Expr) -> str:
+    """The params key of a Param, PhiSymbol or SigmaSymbol."""
+    if isinstance(e, Param):
+        return e.name
+    if isinstance(e, PhiSymbol):
+        return e.eval_name
+    return SIGMA_EVAL_NAME
+
+
+_SYMBOLS = (Param, PhiSymbol, SigmaSymbol)
+
+
+def _codegen(e: Expr, leaf=None, named=None) -> str:
+    """Python source for ``e``.
+
+    Jets read ``J[(index, order)]`` and symbols ``P[name]``, unless
+    ``leaf(node)`` renders them.  ``named(node)`` may return the name of a
+    local variable that already holds the node's value.
+    """
+    if named is not None:
+        name = named(e)
+        if name is not None:
+            return name
     if isinstance(e, Num):
         if e.value.denominator == 1:
             return repr(e.value.numerator)
         return f"({e.value.numerator}/{e.value.denominator})"
     if isinstance(e, Jet):
-        return f"J[({e.index},{e.order})]"
-    if isinstance(e, Param):
-        return f"P[{e.name!r}]"
-    if isinstance(e, PhiSymbol):
-        return f"P[{e.eval_name!r}]"
-    if isinstance(e, SigmaSymbol):
-        return f"P[{SIGMA_EVAL_NAME!r}]"
+        return f"J[({e.index},{e.order})]" if leaf is None else leaf(e)
+    if isinstance(e, _SYMBOLS):
+        return f"P[{_symbol_name(e)!r}]" if leaf is None else leaf(e)
     if isinstance(e, Add):
-        return "(" + "+".join(_codegen(t) for t in e.terms) + ")"
+        return "(" + "+".join(_codegen(t, leaf, named) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_codegen(f) for f in e.factors) + ")"
+        return "(" + "*".join(_codegen(f, leaf, named) for f in e.factors) + ")"
     if isinstance(e, Pow):
-        return f"({_codegen(e.base)})**({e.exponent})"
+        return f"({_codegen(e.base, leaf, named)})**({e.exponent})"
     if isinstance(e, Func):
-        return f"{e.name}({_codegen(e.arg)})"
+        return f"{e.name}({_codegen(e.arg, leaf, named)})"
     if isinstance(e, Angle):
-        return f"atan2({_codegen(e.y)},{_codegen(e.x)})"
+        return f"atan2({_codegen(e.y, leaf, named)},{_codegen(e.x, leaf, named)})"
     raise ExprError(f"cannot compile node {e!r}")
 
 
@@ -123,6 +141,8 @@ _COMPILE_ENV = {
     "sin": math.sin,
     "cos": math.cos,
     "atan2": math.atan2,
+    "inf": math.inf,
+    "nan": math.nan,
     "__builtins__": {},
 }
 
@@ -131,6 +151,83 @@ def compile_expr(e: Expr):
     """Compile to a callable f(jets_dict, params_dict) -> float."""
     src = "lambda J, P: " + _codegen(e)
     return eval(src, dict(_COMPILE_ENV))
+
+
+def _literal(value: float) -> str:
+    text = repr(float(value))
+    return f"({text})" if text.startswith("-") else text
+
+
+def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
+    """Compile several expressions into one function f(y) -> tuple of floats.
+
+    Jet q^i_(s) is read from ``y[slots[(i, s)]]``, parameters are baked in
+    as float constants, and an expression that is a bare number is returned
+    as a float.  A subtree that occurs more than once, within one expression
+    or across several, is computed once into a local variable.  Each
+    expression keeps the operation order of ``compile_expr``, so both give
+    the same floats.
+    """
+    exprs = list(exprs)
+    read: set[int] = set()
+
+    def leaf(e: Expr) -> str:
+        if isinstance(e, Jet):
+            key = (e.index, e.order)
+            if key not in slots:
+                raise EvaluationError(f"no state slot for jet {key}")
+            read.add(slots[key])
+            return f"j{slots[key]}"
+        name = _symbol_name(e)
+        if name not in params:
+            raise EvaluationError(f"unbound parameter {name!r}")
+        return _literal(params[name])
+
+    # Number the classes of structurally equal subtrees, children first, and
+    # count each class's uses: once per root and once per use in another
+    # class.  Node objects are told apart by id, so no tree is hashed whole.
+    group: dict[int, int] = {}
+    classes: dict[tuple, int] = {}
+    first: list[Expr] = []
+    uses: list[int] = []
+
+    def classify(node: Expr) -> int:
+        k = group.get(id(node))
+        if k is None:
+            kids = tuple(classify(c) for c in node.children())
+            # Besides its children, a node holds at most an exponent or a name.
+            own = (getattr(node, "exponent", None), getattr(node, "name", None))
+            key = (type(node), own, kids) if kids else (type(node), node)
+            k = classes.get(key)
+            if k is None:
+                k = classes[key] = len(first)
+                first.append(node)
+                uses.append(0)
+                for c in kids:
+                    uses[c] += 1
+            group[id(node)] = k
+        return k
+
+    for e in exprs:
+        uses[classify(e)] += 1
+    names: dict[int, str] = {}
+
+    def named(node):
+        return names.get(group[id(node)])
+
+    body = []
+    for k, node in enumerate(first):
+        if uses[k] > 1 and node.children():
+            body.append(f" t{k} = {_codegen(node, leaf, named)}")
+            names[k] = f"t{k}"
+    out = [
+        _literal(e.value) if isinstance(e, Num) else _codegen(e, leaf, named) for e in exprs
+    ]
+    loads = [f" j{i} = y[{i}]" for i in sorted(read)]
+    src = "\n".join(["def f(y):", *loads, *body, f" return ({''.join(o + ', ' for o in out)})"])
+    env = dict(_COMPILE_ENV)
+    exec(src, env)
+    return env["f"]
 
 
 def free_symbols(*exprs: Expr):
@@ -187,6 +284,8 @@ def equivalent(
     rng = rng or random.Random(0)
     params = params or {}
     jets, names = free_symbols(e1, e2)
+    # Sorted, so that each value is drawn for the same symbol in every process.
+    jets, names = sorted(jets), sorted(names)
     f1, f2 = compile_expr(e1), compile_expr(e2)
     done = 0
     resamples = 0

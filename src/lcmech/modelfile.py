@@ -73,6 +73,18 @@ def _split_pairs(value: str, line: int) -> dict[str, str]:
     return out
 
 
+def parse_initial(value: str, line: int | None = None) -> dict[str, float]:
+    """Initial data written as ``x: 1, x': 0``, in a simulation block or
+    on the command line."""
+    initial: dict[str, float] = {}
+    for key, val in _split_pairs(value, line).items():
+        try:
+            initial[key] = float(val)
+        except ValueError:
+            raise ModelFileError(E_VALUE, f"initial value {key!r} is not a number", line)
+    return initial
+
+
 def parse_model_text(text: str, name: str = "") -> ModelFile:
     entries: dict[str, tuple[str, int]] = {}
     sim_entries: dict[str, tuple[str, int]] = {}
@@ -176,12 +188,7 @@ def parse_model_text(text: str, name: str = "") -> ModelFile:
 
         initial: dict[str, float] = {}
         if "initial" in sim_entries:
-            value, line = sim_entries["initial"]
-            for key, val in _split_pairs(value, line).items():
-                try:
-                    initial[key] = float(val)
-                except ValueError:
-                    raise ModelFileError(E_VALUE, f"initial value {key!r} is not a number", line)
+            initial = parse_initial(*sim_entries["initial"])
         simulation = SimulationBlock(
             t0=sim_float("t0"), t1=sim_float("t1"), dt=sim_float("dt"), initial=initial
         )

@@ -123,10 +123,10 @@ def _pow_nf(base: _NF, k: int) -> _NF:
         return out
     # Negative power of a genuine sum: keep it as an opaque factor.
     atom = Pow(rebuild(base), -1)
-    return _pow_nf(_atom_nf(atom, literal=True), -k)
+    return _pow_nf(_atom_nf(atom), -k)
 
 
-def _atom_nf(e: Expr, literal: bool = False) -> _NF:
+def _atom_nf(e: Expr) -> _NF:
     return (((((e, 1),)), Fraction(1)),)
 
 

@@ -1,6 +1,7 @@
 """Model files and command-line behavior."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -225,3 +226,48 @@ def test_cli_byte_identical_reports():
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "0"],
+        ["--dt", "-0.01"],
+        ["--dt", "nan"],
+        ["--t1", "inf"],
+        ["--t1", "0"],
+        ["--t1", "-1"],
+        ["--t1", "0.0015", "--dt", "0.001"],
+        ["--initial", "x1"],
+        ["--initial", "x: abc"],
+    ],
+)
+def test_cli_simulate_rejects_bad_span_and_initial_data(tmp_path, capsys, flags):
+    out = tmp_path / "o.csv"
+    model = str(bundled_path("harmonic_oscillator"))
+    assert main(["simulate", model, "--output", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_cli_simulate_blow_up_is_a_numerical_failure(tmp_path, capsys):
+    # x'' = x'^2 / 2 from x'(0) = 1 blows up at t = 2.
+    model = str(bundled_path("conformal_toy_1d"))
+    assert main(["simulate", model, "--t1", "3", "--output", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
+    text = bundled_path("chiral_lc").read_text(encoding="utf-8")
+    model = tmp_path / "abstract.model"
+    model.write_text(text.replace("sigma = 2*atan2(y, x)", "sigma = abstract"), encoding="utf-8")
+    assert "sigma = abstract" in model.read_text(encoding="utf-8")
+    cmd = [sys.executable, "-m", "lcmech.cli", "verify", str(model), "--seed", "7", "--inject-fault"]
+    runs = [
+        subprocess.run(cmd, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout

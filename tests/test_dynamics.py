@@ -19,10 +19,12 @@ from lcmech import (
     conformal_el_expanded,
     conformal_hamilton_field,
     equivalent,
+    evaluate,
     integrate,
     integrate_hamiltonian,
     lagrangian_hamiltonian_crosscheck,
     legendre_first_order,
+    load_model,
     mul,
     num,
     parse_expression,
@@ -30,6 +32,7 @@ from lcmech import (
 )
 from lcmech.calculus import ConformalFactor, zero_factor
 from lcmech.dynamics import conformal_source_matrix
+from lcmech.models import BUNDLED, bundled_path
 
 
 def _model(dim, order, text, names, sigma_text="0", params=None, max_jet=None):
@@ -247,3 +250,108 @@ def test_crosscheck_conformal_dynamics_differ_from_classical():
     traj = integrate(ode, [0.3, -0.2, 0.7, -0.2], 0.0, 1.0, 1e-3)
     free_end = np.array([0.3 + 0.7, -0.2 - 0.2])
     assert np.max(np.abs(traj.states[-1, :2] - free_end)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# compiled vector field against the evaluate + numpy reference
+
+
+def _bundled_odes():
+    for name in BUNDLED:
+        model = load_model(bundled_path(name)).model
+        eqs = conformal_el_expanded(model)
+        yield name, model, eqs, to_explicit_ode(eqs, model)
+
+
+def _reference_top(ode, eqs, params, y):
+    """Top jets and det M from the interpreter and numpy: every entry of M
+    evaluated on a point dict, b from the residuals with the top jets at 0."""
+    r, k = ode.dim, ode.top_order
+    point = {(i + 1, s): float(y[i + r * s]) for s in range(k) for i in range(r)}
+    point.update({(i, k): 0.0 for i in range(1, r + 1)})
+    m = np.array([[evaluate(e, point, params) for e in row] for row in ode.matrix_exprs])
+    b = np.array([evaluate(res, point, params) for res in eqs.residuals])
+    return np.linalg.solve(m, -b), float(np.linalg.det(m))
+
+
+def _assert_rel(actual, expected, rtol=1e-12):
+    expected = np.asarray(expected, dtype=float)
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+def test_compiled_field_matches_reference_on_bundled_models():
+    rng = random.Random(11)
+    for name, model, eqs, ode in _bundled_odes():
+        for _ in range(10):
+            y = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(ode.state_size)]
+            ref, ref_det = _reference_top(ode, eqs, model.parameters, y)
+            top, det = ode.top_derivatives(y)
+            _assert_rel(top, ref)
+            assert det == pytest.approx(ref_det, rel=1e-12), name
+            _assert_rel(ode.rhs(y), [*y[ode.dim :], *ref])
+
+
+def _reference_rk4(rhs, y0, dt, steps):
+    y = np.array(y0, dtype=float)
+    out = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_integrate_matches_numpy_rk4_reference():
+    starts = {"conformal_toy_1d": [0.2, 0.7], "chiral_lc": [3.0, 0.0, 0.0, 1.0, -1.0, 0.0]}
+    for name, model, eqs, ode in _bundled_odes():
+        if name not in starts:
+            continue
+        r = ode.dim
+
+        def rhs(y):
+            top, _ = _reference_top(ode, eqs, model.parameters, y)
+            return np.concatenate([y[r:], top])
+
+        dt = 1e-3
+        want = _reference_rk4(rhs, starts[name], dt, 200)
+        traj = integrate(ode, starts[name], 0.0, 200 * dt, dt)
+        assert traj.states.shape == want.shape
+        for got_col, want_col in zip(traj.states.T, want.T):
+            _assert_rel(got_col, want_col)
+
+
+def test_integrate_hamiltonian_matches_numpy_loop():
+    m = _model(
+        2, 1, "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)", ["x", "y"], sigma_text="1/4*x + 1/3*y"
+    )
+    ham = legendre_first_order(m)
+    field = conformal_hamilton_field(ham)
+    dt, steps = 1e-3, 300
+    q, p = np.array([0.8, -0.3]), np.array([0.1, 0.6])
+    qs, ps = [q], [p]
+    for _ in range(steps):
+        dq1, dp1 = field(q, p)
+        dq2, dp2 = field(q + 0.5 * dt * dq1, p + 0.5 * dt * dp1)
+        dq3, dp3 = field(q + 0.5 * dt * dq2, p + 0.5 * dt * dp2)
+        dq4, dp4 = field(q + dt * dq3, p + dt * dp3)
+        q = q + (dt / 6.0) * (dq1 + 2 * dq2 + 2 * dq3 + dq4)
+        p = p + (dt / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
+        qs.append(q)
+        ps.append(p)
+    times, got_q, got_p = integrate_hamiltonian(ham, qs[0], ps[0], 0.0, steps * dt, dt)
+    assert len(times) == steps + 1
+    for got, want in ((got_q, np.array(qs)), (got_p, np.array(ps))):
+        for got_col, want_col in zip(got.T, want.T):
+            _assert_rel(got_col, want_col)
+
+
+def test_residual_pass_singularity_carries_its_time():
+    m = _model(1, 1, "1/2*x*x'^2", ["x"])
+    ode = to_explicit_ode(conformal_el_expanded(m), m)
+    with pytest.raises(SingularDynamicsError) as err:
+        integrate(ode, [0.0, 1.0], 0.5, 0.5, 0.1)
+    assert err.value.time == 0.5

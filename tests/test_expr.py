@@ -303,3 +303,28 @@ def test_print_roundtrip_of_normalized_forms():
     printed = to_text(e, NAMES)
     again = parse_expression(printed, space, NAMES)
     assert equivalent(e, again, trials=10, tol=1e-12, rng=rng)
+
+
+def test_compile_vector_shares_subtrees_and_matches_compile_expr():
+    from lcmech.evaluate import EvaluationError, compile_expr, compile_vector
+
+    texts = [
+        "k*(x^2 + y^2)^(-1)*x' + (x^2 + y^2)^(-1)*y'",
+        "exp(x*y)*sin(x*y) - k*atan2(y, x)*(x^2 + y^2)^(-1)",
+        "1/3",
+    ]
+    exprs = [parse_expression(t, SPACE, NAMES) for t in texts]
+    slots = {(i, s): (i - 1) + 2 * s for s in range(2) for i in (1, 2)}
+    f = compile_vector(exprs, slots, {"k": -0.75})
+    # (x^2 + y^2)^(-1) and x*y are bound to locals once.
+    assert sum(name.startswith("t") for name in f.__code__.co_varnames) >= 2
+    singles = [compile_expr(e) for e in exprs]
+    rng = random.Random(5)
+    for _ in range(50):
+        y = [sample_value(rng) for _ in range(4)]
+        point = {key: y[slot] for key, slot in slots.items()}
+        got = f(y)
+        assert all(type(v) is float for v in got)
+        assert list(got) == [float(g(point, {"k": -0.75})) for g in singles]
+    with pytest.raises(EvaluationError):
+        compile_vector(exprs, slots, {})
