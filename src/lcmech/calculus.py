@@ -1,4 +1,8 @@
-"""Partial and total derivatives on jet expressions, and the conformal factor."""
+"""Partial and total derivatives on jet expressions, and the conformal factor.
+
+Both derivatives run the same sum, product and chain rules (``_derive``) and
+differ only in how they differentiate an atom.
+"""
 
 from __future__ import annotations
 
@@ -23,9 +27,51 @@ from .nodes import (
     SigmaSymbol,
     ZERO,
     add,
+    jets_in,
     mul,
 )
-from .normalize import normalize
+from .normalize import is_zero, normalize
+
+
+def _derive(e: Expr, leaf) -> Expr:
+    """The sum, product and chain rules, with ``leaf(atom)`` the derivative
+    of each Num, Param, Jet, SigmaSymbol or PhiSymbol."""
+    if isinstance(e, (Num, Param, Jet, SigmaSymbol, PhiSymbol)):
+        return leaf(e)
+    if isinstance(e, Add):
+        return add(*(_derive(t, leaf) for t in e.terms))
+    if isinstance(e, Mul):
+        pieces = []
+        for k, f in enumerate(e.factors):
+            df = _derive(f, leaf)
+            if df == ZERO:
+                continue
+            pieces.append(mul(*e.factors[:k], df, *e.factors[k + 1 :]))
+        return add(*pieces)
+    if isinstance(e, Pow):
+        db = _derive(e.base, leaf)
+        if db == ZERO or e.exponent == 0:
+            return ZERO
+        return mul(Num(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db)
+    if isinstance(e, Func):
+        da = _derive(e.arg, leaf)
+        if da == ZERO:
+            return ZERO
+        if e.name == "exp":
+            outer = Func("exp", e.arg)
+        elif e.name == "sin":
+            outer = Func("cos", e.arg)
+        else:
+            outer = mul(Num(Fraction(-1)), Func("sin", e.arg))
+        return mul(outer, da)
+    if isinstance(e, Angle):
+        dy = _derive(e.y, leaf)
+        dx = _derive(e.x, leaf)
+        if dy == ZERO and dx == ZERO:
+            return ZERO
+        r2 = e.x**2 + e.y**2
+        return (e.x * dy - e.y * dx) * Pow(r2, -1)
+    raise ExprError(f"cannot differentiate node {e!r}")
 
 
 def partial(e: Expr, index: int, order: int) -> Expr:
@@ -33,99 +79,17 @@ def partial(e: Expr, index: int, order: int) -> Expr:
 
     Every jet coordinate is treated as an independent variable.
     """
-    target = (index, order)
-    if isinstance(e, (Num, Param)):
-        return ZERO
-    if isinstance(e, Jet):
-        return ONE if (e.index, e.order) == target else ZERO
-    if isinstance(e, SigmaSymbol):
-        return PhiSymbol((index,)) if order == 0 else ZERO
-    if isinstance(e, PhiSymbol):
-        return PhiSymbol(e.indices + (index,)) if order == 0 else ZERO
-    if isinstance(e, Add):
-        return add(*(partial(t, index, order) for t in e.terms))
-    if isinstance(e, Mul):
-        pieces = []
-        for k, f in enumerate(e.factors):
-            df = partial(f, index, order)
-            if df == ZERO:
-                continue
-            pieces.append(mul(*e.factors[:k], df, *e.factors[k + 1 :]))
-        return add(*pieces)
-    if isinstance(e, Pow):
-        db = partial(e.base, index, order)
-        if db == ZERO or e.exponent == 0:
-            return ZERO
-        return mul(Num(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db)
-    if isinstance(e, Func):
-        da = partial(e.arg, index, order)
-        if da == ZERO:
-            return ZERO
-        if e.name == "exp":
-            outer = Func("exp", e.arg)
-        elif e.name == "sin":
-            outer = Func("cos", e.arg)
-        else:
-            outer = mul(Num(Fraction(-1)), Func("sin", e.arg))
-        return mul(outer, da)
-    if isinstance(e, Angle):
-        dy = partial(e.y, index, order)
-        dx = partial(e.x, index, order)
-        if dy == ZERO and dx == ZERO:
-            return ZERO
-        r2 = e.x**2 + e.y**2
-        return (e.x * dy - e.y * dx) * Pow(r2, -1)
-    raise ExprError(f"cannot differentiate node {e!r}")
 
-
-def _dt(e: Expr, space: JetSpace) -> Expr:
-    if isinstance(e, (Num, Param)):
+    def leaf(a: Expr) -> Expr:
+        if isinstance(a, Jet):
+            return ONE if (a.index, a.order) == (index, order) else ZERO
+        if isinstance(a, SigmaSymbol) and order == 0:
+            return PhiSymbol((index,))
+        if isinstance(a, PhiSymbol) and order == 0:
+            return PhiSymbol(a.indices + (index,))
         return ZERO
-    if isinstance(e, Jet):
-        if e.order + 1 > space.max_jet:
-            raise JetOrderError(
-                f"total derivative pushes q^{e.index} past max_jet={space.max_jet}"
-            )
-        return Jet(e.index, e.order + 1)
-    if isinstance(e, (SigmaSymbol, PhiSymbol)):
-        # Chain rule: the abstract factor depends on all base coordinates.
-        return add(
-            *(mul(partial(e, j, 0), Jet(j, 1)) for j in range(1, space.dim + 1))
-        )
-    if isinstance(e, Add):
-        return add(*(_dt(t, space) for t in e.terms))
-    if isinstance(e, Mul):
-        pieces = []
-        for k, f in enumerate(e.factors):
-            df = _dt(f, space)
-            if df == ZERO:
-                continue
-            pieces.append(mul(*e.factors[:k], df, *e.factors[k + 1 :]))
-        return add(*pieces)
-    if isinstance(e, Pow):
-        db = _dt(e.base, space)
-        if db == ZERO or e.exponent == 0:
-            return ZERO
-        return mul(Num(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db)
-    if isinstance(e, Func):
-        da = _dt(e.arg, space)
-        if da == ZERO:
-            return ZERO
-        if e.name == "exp":
-            outer = Func("exp", e.arg)
-        elif e.name == "sin":
-            outer = Func("cos", e.arg)
-        else:
-            outer = mul(Num(Fraction(-1)), Func("sin", e.arg))
-        return mul(outer, da)
-    if isinstance(e, Angle):
-        dy = _dt(e.y, space)
-        dx = _dt(e.x, space)
-        if dy == ZERO and dx == ZERO:
-            return ZERO
-        r2 = e.x**2 + e.y**2
-        return (e.x * dy - e.y * dx) * Pow(r2, -1)
-    raise ExprError(f"cannot differentiate node {e!r}")
+
+    return _derive(e, leaf)
 
 
 def total_derivative(e: Expr, space: JetSpace, times: int = 1) -> Expr:
@@ -136,9 +100,22 @@ def total_derivative(e: Expr, space: JetSpace, times: int = 1) -> Expr:
     """
     if times < 0:
         raise ValueError("times must be >= 0")
+
+    def leaf(a: Expr) -> Expr:
+        if isinstance(a, Jet):
+            if a.order + 1 > space.max_jet:
+                raise JetOrderError(
+                    f"total derivative pushes q^{a.index} past max_jet={space.max_jet}"
+                )
+            return Jet(a.index, a.order + 1)
+        if isinstance(a, (SigmaSymbol, PhiSymbol)):
+            # Chain rule: the abstract factor depends on all base coordinates.
+            return add(*(mul(partial(a, j, 0), Jet(j, 1)) for j in range(1, space.dim + 1)))
+        return ZERO
+
     out = e
     for _ in range(times):
-        out = _dt(out, space)
+        out = _derive(out, leaf)
     return out
 
 
@@ -178,7 +155,7 @@ class ConformalFactor:
     def validate(self, space: JetSpace):
         if self.sigma is None:
             return
-        for i, s in _jets(self.sigma):
+        for i, s in jets_in(self.sigma):
             if s != 0:
                 raise ExprError("conformal factor may depend on base coordinates only")
             space.check(i, s)
@@ -199,15 +176,7 @@ class ConformalFactor:
         return self._cache[key]
 
     def is_trivial(self) -> bool:
-        from .normalize import is_zero
-
         return self.sigma is not None and is_zero(self.sigma)
-
-
-def _jets(e):
-    from .nodes import jets_in
-
-    return jets_in(e)
 
 
 ABSTRACT = ConformalFactor(None)

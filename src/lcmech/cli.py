@@ -283,6 +283,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ModelFileError(E_VALUE, f"--trials must be at least 1, not {args.trials}")
     mf = load_model(args.model)
     report = run_verification(
         mf.model,

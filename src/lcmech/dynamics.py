@@ -16,12 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .calculus import ConformalFactor, partial, substitute
-from .evaluate import compile_expr, compile_vector, evaluate
+from .evaluate import compile_vector
 from .nodes import (
     Expr,
     ExprError,
     Jet,
-    JetSpace,
     Pow,
     ZERO,
     add,
@@ -57,7 +56,6 @@ class ExplicitODE:
     dim: int
     top_order: int
     matrix_exprs: list[list[Expr]]
-    constant_matrix: np.ndarray | None
     # y -> the r*r mass-matrix entries (row-major), then the r entries of b.
     system: Callable = field(repr=False)
     # system(y) -> (q_(k), det M), from M q_(k) = -b.
@@ -127,6 +125,11 @@ def _compile_solver(r: int):
     return env["solve"]
 
 
+def _slots(r: int, k: int) -> dict[tuple[int, int], int]:
+    """State index of q^i_(s) for s <= k: jets of one order are contiguous."""
+    return {(i, s): (i - 1) + r * s for s in range(k + 1) for i in range(1, r + 1)}
+
+
 def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
     """Detect the effective order and build the explicit form.
 
@@ -164,17 +167,13 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
     zero_top = {t: ZERO for t in top}
     rest_exprs = [normalize(substitute(r, zero_top)) for r in eqs.residuals]
     r = space.dim
-    slots = {(i, s): (i - 1) + r * s for s in range(k + 1) for i in range(1, r + 1)}
+    slots = _slots(r, k)
     params = model.parameters
     entries = [e for row in matrix_exprs for e in row]
-    constant = None
-    if all(not jets_in(e) for e in entries):
-        constant = np.array([[evaluate(e, {}, params) for e in row] for row in matrix_exprs])
     return ExplicitODE(
         dim=r,
         top_order=k,
         matrix_exprs=matrix_exprs,
-        constant_matrix=constant,
         system=compile_vector(entries + rest_exprs, slots, params),
         solve=_compile_solver(r),
         residuals=compile_vector(eqs.residuals, slots, params),
@@ -398,55 +397,57 @@ class ImplicitLegendre:
         self.tol = tol
         self.max_iter = max_iter
         r = self.dim
-        self._grad_v = [compile_expr(partial(model.lagrangian, i, 1)) for i in range(1, r + 1)]
-        self._hess = [
-            [compile_expr(partial(partial(model.lagrangian, i, 1), j, 1)) for j in range(1, r + 1)]
-            for i in range(1, r + 1)
-        ]
-        self._lag = compile_expr(model.lagrangian)
-        self._grad_q = [compile_expr(partial(model.lagrangian, i, 0)) for i in range(1, r + 1)]
+        L = model.lagrangian
+        grad_v = [partial(L, i, 1) for i in range(1, r + 1)]
+        hess = [partial(g, j, 1) for g in grad_v for j in range(1, r + 1)]
+        # (q, v) -> L, the Hessian row-major, then dL/dv.
+        self._system = compile_vector([L, *hess, *grad_v], _slots(r, 1), model.parameters)
+        self._solve = _compile_solver(r)
 
-    def _point(self, q, v):
-        point = {(i + 1, 0): float(q[i]) for i in range(self.dim)}
-        point.update({(i + 1, 1): float(v[i]) for i in range(self.dim)})
-        return point
+    def _newton_input(self, q, v, target):
+        """The Hessian at (q, v), then dL/dv - p: the solver's input, whose
+        solution is the Newton step."""
+        _, *s = self._system([*q, *v])
+        n = self.dim * self.dim
+        s[n:] = [g - t for g, t in zip(s[n:], target)]
+        return s
 
-    def velocity(self, q, p, guess=None):
-        params = self.model.parameters
-        v = np.array(guess if guess is not None else p, dtype=float)
-        target = np.asarray(p, dtype=float)
+    def velocity(self, q, p, guess=None) -> list[float]:
+        q = [float(x) for x in q]
+        target = [float(x) for x in p]
+        v = [float(x) for x in (guess if guess is not None else p)]
+        n = self.dim * self.dim
         for _ in range(self.max_iter):
-            point = self._point(q, v)
-            g = np.array([f(point, params) for f in self._grad_v]) - target
-            if np.max(np.abs(g)) < self.tol:
+            s = self._newton_input(q, v, target)
+            base = max(map(abs, s[n:]))
+            if base < self.tol:
                 return v
-            jac = np.array([[f(point, params) for f in row] for row in self._hess])
-            if abs(np.linalg.det(jac)) <= DET_THRESHOLD:
-                raise DegenerateLegendreError("singular velocity Hessian during Newton solve")
-            step = np.linalg.solve(jac, g)
+            try:
+                step, _ = self._solve(s)
+            except SingularDynamicsError as err:
+                raise DegenerateLegendreError(
+                    "singular velocity Hessian during Newton solve"
+                ) from err
             damping = 1.0
-            base = np.max(np.abs(g))
             while damping > 1e-4:
-                trial = v - damping * step
-                gt = np.array(
-                    [f(self._point(q, trial), params) for f in self._grad_v]
-                ) - target
-                if np.max(np.abs(gt)) < base:
+                trial = [a + damping * b for a, b in zip(v, step)]
+                if max(map(abs, self._newton_input(q, trial, target)[n:])) < base:
                     v = trial
                     break
                 damping *= 0.5
             else:
-                v = v - step
+                v = [a + b for a, b in zip(v, step)]
         raise DegenerateLegendreError("Newton velocity solve did not converge")
 
     def value(self, q, p):
         v = self.velocity(q, p)
-        point = self._point(q, v)
-        return float(np.dot(p, v) - self._lag(point, self.model.parameters))
+        lag = self._system([*map(float, q), *v])[0]
+        return sum(float(a) * b for a, b in zip(p, v)) - lag
 
 
 def conformal_hamilton_field(ham: HamiltonianModel):
-    """Evaluator for the locally conformal Hamiltonian vector field:
+    """The locally conformal Hamiltonian vector field as f(z) -> dz/dt on the
+    flat state z = (q, p):
 
     dq^i/dt = dH/dp_i
     dp_i/dt = -dH/dq^i - A_ij dH/dp_j + H phi_i,   A_ij = phi_i p_j - phi_j p_i.
@@ -455,24 +456,22 @@ def conformal_hamilton_field(ham: HamiltonianModel):
         raise ExprError("a concrete conformal factor is required for integration")
     r = ham.dim
     h = ham.hamiltonian
-    f_h = compile_expr(h)
-    f_dq = [compile_expr(normalize(partial(h, i, 0))) for i in range(1, r + 1)]
-    f_dp = [compile_expr(normalize(partial(h, i, 1))) for i in range(1, r + 1)]
-    f_phi = [compile_expr(ham.sigma.phi((i,))) for i in range(1, r + 1)]
-    params = ham.params
+    exprs = [
+        h,
+        *(normalize(partial(h, i, 0)) for i in range(1, r + 1)),
+        *(normalize(partial(h, i, 1)) for i in range(1, r + 1)),
+        *(ham.sigma.phi((i,)) for i in range(1, r + 1)),
+    ]
+    system = compile_vector(exprs, _slots(r, 1), ham.params)
 
-    def field(q, p):
-        point = {(i + 1, 0): float(q[i]) for i in range(r)}
-        point.update({(i + 1, 1): float(p[i]) for i in range(r)})
-        hv = f_h(point, params)
-        dh_dq = np.array([f(point, params) for f in f_dq])
-        dh_dp = np.array([f(point, params) for f in f_dp])
-        phi = np.array([f(point, params) for f in f_phi])
-        pvec = np.asarray(p, dtype=float)
-        a = np.outer(phi, pvec) - np.outer(pvec, phi)
-        dq = dh_dp
-        dp = -dh_dq - a @ dh_dp + hv * phi
-        return dq, dp
+    def field(z):
+        hv, *rest = system(z)
+        dh_dq, dh_dp, phi, p = rest[:r], rest[r : 2 * r], rest[2 * r :], z[r:]
+        # A dH/dp = phi (p . dH/dp) - p (phi . dH/dp)
+        p_v = sum(a * b for a, b in zip(p, dh_dp))
+        phi_v = sum(a * b for a, b in zip(phi, dh_dp))
+        dp = [-dq - (f * p_v - pi * phi_v) + hv * f for dq, f, pi in zip(dh_dq, phi, p)]
+        return [*dh_dp, *dp]
 
     return field
 
@@ -480,24 +479,18 @@ def conformal_hamilton_field(ham: HamiltonianModel):
 def conformal_source_matrix(ham: HamiltonianModel, q, p) -> np.ndarray:
     """The antisymmetric momentum twist A_ij = phi_i p_j - phi_j p_i at a point."""
     r = ham.dim
-    point = {(i + 1, 0): float(q[i]) for i in range(r)}
-    phi = np.array([compile_expr(ham.sigma.phi((i,)))(point, ham.params) for i in range(1, r + 1)])
+    phi_exprs = [ham.sigma.phi((i,)) for i in range(1, r + 1)]
+    phi = np.array(compile_vector(phi_exprs, _slots(r, 0), ham.params)([*map(float, q)]))
     pvec = np.asarray(p, dtype=float)
     return np.outer(phi, pvec) - np.outer(pvec, phi)
 
 
 def integrate_hamiltonian(ham: HamiltonianModel, q0, p0, t0, t1, dt):
     """RK4 on the conformal Hamiltonian field; returns (times, qs, ps)."""
-    field = conformal_hamilton_field(ham)
     r = ham.dim
-
-    def flat_field(z):
-        dq, dp = field(z[:r], z[r:])
-        return [*dq.tolist(), *dp.tolist()]
-
     z = [*map(float, q0), *map(float, p0)]
     steps = int(round((t1 - t0) / dt))
-    times, states = _rk4(flat_field, z, t0, dt, steps)
+    times, states = _rk4(conformal_hamilton_field(ham), z, t0, dt, steps)
     zs = np.array(states)
     return np.array(times), zs[:, :r], zs[:, r:]
 
@@ -517,16 +510,8 @@ def lagrangian_hamiltonian_crosscheck(
     traj = integrate(ode, init, t0, t1, dt, residual_stride=max(1, int(0.1 / dt)))
 
     ham = legendre_first_order(model)
-    q0 = np.asarray(init[:r], dtype=float)
-    v0 = np.asarray(init[r:], dtype=float)
-    point = {(i + 1, 0): q0[i] for i in range(r)}
-    point.update({(i + 1, 1): v0[i] for i in range(r)})
-    p0 = np.array(
-        [
-            compile_expr(partial(model.lagrangian, i, 1))(point, model.parameters)
-            for i in range(1, r + 1)
-        ]
-    )
-    _, qs, _ = integrate_hamiltonian(ham, q0, p0, t0, t1, dt)
+    momenta = [partial(model.lagrangian, i, 1) for i in range(1, r + 1)]
+    p0 = compile_vector(momenta, _slots(r, 1), model.parameters)([*map(float, init)])
+    _, qs, _ = integrate_hamiltonian(ham, init[:r], p0, t0, t1, dt)
     q_el = traj.states[:, :r]
     return float(np.max(np.abs(q_el - qs)))

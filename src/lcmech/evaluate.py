@@ -1,11 +1,14 @@
 """Numeric evaluation and random-sampling equivalence checking.
 
 ``evaluate`` is a straightforward recursive interpreter (exact rational
-subtrees are folded with Fractions before float conversion).  ``compile_expr``
-turns an expression into a plain Python lambda for the hot paths (ODE
-integration, repeated equivalence trials).  ``equivalent`` decides equality
-of two expressions by evaluating both at random points, in the style of
-polynomial identity testing; it is the single oracle used for all symbolic
+subtrees are folded with Fractions before float conversion), kept as the
+reference the compiled paths are tested against.  ``compile_vector`` turns
+several expressions into one Python function of a flat state; it serves both
+dynamical pictures, the explicit ODE and the Hamiltonian field.
+``compile_expr`` turns one expression into a plain Python lambda on a point
+dict, for ``equivalent`` and the variational check.  ``equivalent`` decides
+equality of two expressions by evaluating both at random points, in the style
+of polynomial identity testing; it is the single oracle used for all symbolic
 identities in this package.
 """
 

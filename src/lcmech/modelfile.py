@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calculus import ConformalFactor
+from .combinatorics import MAX_DERIVATIVE_ORDER
 from .nodes import JetSpace, jets_in
 from .parser import ParseError, parse_expression
 from .euler_lagrange import LagrangianModel
@@ -127,6 +128,8 @@ def parse_model_text(text: str, name: str = "") -> ModelFile:
     order = as_int("order")
     if dim < 1 or order < 1:
         raise ModelFileError(E_VALUE, "dim and order must be positive")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise ModelFileError(E_VALUE, f"order must be at most {MAX_DERIVATIVE_ORDER}, not {order}")
     coords_value, coords_line = require("coordinates")
     coordinates = [c.strip() for c in coords_value.split(",") if c.strip()]
     if len(coordinates) != dim:

@@ -32,7 +32,6 @@ from .nodes import (
     Param,
     Pow,
     add,
-    mul,
 )
 
 _TOKEN = re.compile(
@@ -108,12 +107,13 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        node = self.term()
+        # One flat Add, not a left-nested chain that long sums make deep.
+        terms = [self.term()]
         while self.peek().text in ("+", "-"):
             op = self.advance().text
             rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            terms.append(rhs if op == "+" else -rhs)
+        return add(*terms)
 
     def term(self) -> Expr:
         node = self.unary()

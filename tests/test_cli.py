@@ -271,3 +271,46 @@ def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
     ]
     assert [r.returncode for r in runs] == [1, 1]
     assert runs[0].stdout == runs[1].stdout
+
+
+def _long_sum_model(tmp_path, terms):
+    body = " + ".join(f"{k}*x^{k % 7 + 1}" for k in range(1, terms + 1))
+    model = tmp_path / f"sum{terms}.model"
+    model.write_text(
+        f"dim = 1\norder = 1\ncoordinates = x\nlagrangian = 1/2*x'^2 + {body}\nsigma = x\n",
+        encoding="utf-8",
+    )
+    return str(model)
+
+
+def test_cli_derive_long_sum(tmp_path, capsys):
+    assert main(["derive", _long_sum_model(tmp_path, 600)]) == 0
+    assert capsys.readouterr().out.startswith("# expanded equations")
+
+
+def test_cli_derive_long_sums_in_one_process(tmp_path, capsys):
+    # A deep sum once memoised must not make a later, longer one fail.
+    for terms in (200, 300):
+        assert main(["derive", _long_sum_model(tmp_path, terms)]) == 0, terms
+    assert capsys.readouterr().err == ""
+
+
+def _assert_value_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: E_VALUE: ") and err.count("\n") == 1, err
+
+
+def test_cli_verify_rejects_zero_trials(capsys):
+    assert main(["verify", str(bundled_path("free_particle")), "--trials", "0"]) == 2
+    _assert_value_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "simulate"])
+def test_cli_rejects_order_above_cap(tmp_path, capsys, command):
+    model = tmp_path / "m.model"
+    model.write_text(_mutate(order="7"), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    flags = ["--output", str(out)] if command == "simulate" else []
+    assert main([command, str(model), *flags]) == 2
+    _assert_value_error(capsys)
+    assert not out.exists()

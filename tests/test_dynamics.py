@@ -26,12 +26,15 @@ from lcmech import (
     legendre_first_order,
     load_model,
     mul,
+    normalize,
     num,
     parse_expression,
+    partial,
     to_explicit_ode,
 )
 from lcmech.calculus import ConformalFactor, zero_factor
 from lcmech.dynamics import conformal_source_matrix
+from lcmech.nodes import jets_in
 from lcmech.models import BUNDLED, bundled_path
 
 
@@ -75,7 +78,7 @@ def test_reduction_chiral_is_effectively_third_order():
     )
     ode = to_explicit_ode(conformal_el_expanded(m), m)
     assert ode.top_order == 3
-    assert ode.constant_matrix is not None
+    assert not any(jets_in(e) for row in ode.matrix_exprs for e in row)
 
 
 def test_reduction_pure_second_order_kinetic():
@@ -193,6 +196,13 @@ def test_implicit_legendre_quartic_velocity():
     assert abs(h - want) <= 1e-10
 
 
+def test_implicit_legendre_singular_hessian_is_degenerate():
+    # L = 1/3 v^3: the Hessian 2v vanishes at the starting guess v = 0.
+    m = _model(1, 1, "1/3*x'^3", ["x"])
+    with pytest.raises(DegenerateLegendreError):
+        ImplicitLegendre(m).velocity([0.0], [1.0], guess=[0.0])
+
+
 # ---------------------------------------------------------------------------
 # conformal Hamiltonian field
 
@@ -205,7 +215,8 @@ def test_conformal_field_matches_hand_expansion():
     field = conformal_hamilton_field(ham)
     q = np.array([0.3, -0.4])
     p = np.array([1.1, 0.7])
-    dq, dp = field(q, p)
+    out = field([*q, *p])
+    dq, dp = out[:2], out[2:]
     phi = np.array([0.5, 0.0])
     a = np.outer(phi, p) - np.outer(p, phi)
     h = 0.5 * float(p @ p)
@@ -324,6 +335,21 @@ def test_integrate_matches_numpy_rk4_reference():
             _assert_rel(got_col, want_col)
 
 
+def _reference_hamilton_field(ham, z):
+    """dz/dt from the interpreter and numpy: every entry evaluated on a point
+    dict, the momentum twist A as an outer-product matrix."""
+    r, h = ham.dim, ham.hamiltonian
+    point = {(i + 1, s): float(z[i + r * s]) for s in (0, 1) for i in range(r)}
+    coords = range(1, r + 1)
+    dh_dq = np.array([evaluate(normalize(partial(h, i, 0)), point, ham.params) for i in coords])
+    dh_dp = np.array([evaluate(normalize(partial(h, i, 1)), point, ham.params) for i in coords])
+    phi = np.array([evaluate(ham.sigma.phi((i,)), point, ham.params) for i in coords])
+    p = np.asarray(z[r:], dtype=float)
+    a = np.outer(phi, p) - np.outer(p, phi)
+    hv = evaluate(h, point, ham.params)
+    return np.concatenate([dh_dp, -dh_dq - a @ dh_dp + hv * phi])
+
+
 def test_integrate_hamiltonian_matches_numpy_loop():
     m = _model(
         2, 1, "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)", ["x", "y"], sigma_text="1/4*x + 1/3*y"
@@ -331,20 +357,12 @@ def test_integrate_hamiltonian_matches_numpy_loop():
     ham = legendre_first_order(m)
     field = conformal_hamilton_field(ham)
     dt, steps = 1e-3, 300
-    q, p = np.array([0.8, -0.3]), np.array([0.1, 0.6])
-    qs, ps = [q], [p]
-    for _ in range(steps):
-        dq1, dp1 = field(q, p)
-        dq2, dp2 = field(q + 0.5 * dt * dq1, p + 0.5 * dt * dp1)
-        dq3, dp3 = field(q + 0.5 * dt * dq2, p + 0.5 * dt * dp2)
-        dq4, dp4 = field(q + dt * dq3, p + dt * dp3)
-        q = q + (dt / 6.0) * (dq1 + 2 * dq2 + 2 * dq3 + dq4)
-        p = p + (dt / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        qs.append(q)
-        ps.append(p)
-    times, got_q, got_p = integrate_hamiltonian(ham, qs[0], ps[0], 0.0, steps * dt, dt)
+    z0 = [0.8, -0.3, 0.1, 0.6]
+    _assert_rel(field(z0), _reference_hamilton_field(ham, z0))
+    ref = _reference_rk4(lambda z: _reference_hamilton_field(ham, z), z0, dt, steps)
+    times, got_q, got_p = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
     assert len(times) == steps + 1
-    for got, want in ((got_q, np.array(qs)), (got_p, np.array(ps))):
+    for got, want in ((got_q, ref[:, :2]), (got_p, ref[:, 2:])):
         for got_col, want_col in zip(got.T, want.T):
             _assert_rel(got_col, want_col)
 

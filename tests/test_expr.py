@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmech import (
+    Angle,
+    ExprError,
+    Func,
     Jet,
     JetOrderError,
     JetSpace,
     Num,
     Param,
     ParseError,
+    PhiSymbol,
+    Pow,
+    SigmaSymbol,
     add,
     equivalent,
     evaluate,
@@ -294,6 +300,59 @@ def test_total_derivative_is_linear_property(f, g):
     lhs = total_derivative(add(f, g), space)
     rhs = add(total_derivative(f, space), total_derivative(g, space))
     assert is_zero(add(lhs, mul(num(-1), rhs)))
+
+
+@st.composite
+def calculus_exprs(draw):
+    """Trees over the jets of order <= 2 in dim 2, with the elementary
+    functions, the polar angle, negative powers of sums and the abstract
+    conformal symbols."""
+
+    def build(d):
+        if d == 0:
+            kind = draw(st.integers(0, 5))
+            if kind == 0:
+                return num(draw(st.integers(-3, 3)))
+            if kind == 1:
+                return Param("a")
+            if kind == 2:
+                return SigmaSymbol()
+            if kind == 3:
+                return PhiSymbol(tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))))
+            return Jet(draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+        op = draw(st.integers(0, 5))
+        if op == 0:
+            return add(build(d - 1), build(d - 1))
+        if op == 1:
+            return mul(build(d - 1), build(d - 1))
+        if op == 2:
+            return Pow(add(build(d - 1), build(d - 1)), draw(st.integers(-2, -1)))
+        if op == 3:
+            return Pow(build(d - 1), draw(st.integers(2, 3)))
+        if op == 4:
+            return Func(draw(st.sampled_from(("exp", "sin", "cos"))), build(d - 1))
+        return Angle(build(d - 1), build(d - 1))
+
+    return build(draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculus_exprs())
+def test_total_derivative_is_the_jet_chain_rule_property(e):
+    # D_t e = sum over jets of de/dq^i_(s) * q^i_(s+1), built by the other route.
+    space = JetSpace(dim=2, order=2)
+    chain = add(
+        *(mul(partial(e, i, s), Jet(i, s + 1)) for i in (1, 2) for s in range(3))
+    )
+
+    def outcome(d):
+        # A drawn base or angle that is zero fails both routes alike.
+        try:
+            return normalize(d)
+        except ExprError as err:
+            return str(err)
+
+    assert outcome(total_derivative(e, space)) == outcome(chain)
 
 
 def test_print_roundtrip_of_normalized_forms():
