@@ -77,7 +77,12 @@ class ExplicitODE:
 
     def residual_at(self, y) -> tuple[float, float]:
         """Max |residual| of the generating equations at a state, with the top
-        jets from the solve, and the det of the mass matrix there."""
+        jets from the solve, and the det of the mass matrix there.
+
+        The top jets are re-solved from the state they are checked at, so
+        the value measures round-off in the reduction and the linear solve,
+        not the integration error of the trajectory.
+        """
         top, det = self.top_derivatives(y)
         return max(abs(v) for v in self.residuals([*y, *top])), det
 
@@ -142,7 +147,7 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
     if model.sigma.is_abstract:
         raise ReductionError("cannot reduce equations with an abstract conformal factor")
     space = model.space
-    k = max((s for r in eqs.residuals for (_, s) in jets_in(r)), default=0)
+    k = eqs.max_jet_order()
     if k < 1:
         raise ReductionError("residuals contain no derivatives; nothing to integrate")
     top = [Jet(i, k) for i in range(1, space.dim + 1)]

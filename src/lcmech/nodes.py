@@ -56,9 +56,6 @@ class JetSpace:
                 f"jet order {order} outside 0..{self.max_jet}; enlarge max_jet"
             )
 
-    def coordinates(self) -> list["Jet"]:
-        return [Jet(i, 0) for i in range(1, self.dim + 1)]
-
 
 class Expr:
     """Base of all expression nodes.  Instances are immutable and hashable."""
@@ -324,8 +321,3 @@ def contains_sigma_symbol(e: Expr) -> bool:
 
 def contains_exp(e: Expr) -> bool:
     return any(isinstance(n, Func) and n.name == "exp" for n in walk(e))
-
-
-def max_jet_order(e: Expr) -> int:
-    orders = [o for (_, o) in jets_in(e)]
-    return max(orders, default=-1)

@@ -10,12 +10,21 @@ therefore normalize to a literal zero when they vanish identically.
 Non-polynomial subtrees (sin, cos, the angle node, negative powers of
 multi-term sums) are normalized recursively and then treated as atomic
 monomial factors.
+
+The normal form (NF) is a tuple of (monomial, non-zero coefficient) pairs
+in no particular order.  A monomial is a pair (factors, exparg): factors is
+a tuple of (factor, non-zero exponent) pairs in ``sort_key`` order, one per
+distinct factor, and exparg is the frozenset of NF pairs of the argument of
+its single exp factor (empty without one).  Only ``rebuild`` orders
+monomials, so sums and products merge in one dict without sorting.  NFs
+are immutable, so the memoized ones are shared between callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Hashable, Iterable
 
 from .nodes import (
     Add,
@@ -31,91 +40,57 @@ from .nodes import (
     Pow,
     SigmaSymbol,
     ZERO,
+    add,
+    mul,
     sort_key,
 )
 
-# A monomial key is a tuple of (factor, exponent) pairs sorted by the
-# factor's structural key; an NF is a tuple of (key, coefficient) pairs
-# sorted by key.  Both are hashable so normalization results can be cached.
-_Key = tuple[tuple[Expr, int], ...]
-_NF = tuple[tuple[_Key, Fraction], ...]
+_Monomial = tuple[tuple[tuple[Expr, int], ...], frozenset]
+_NF = tuple[tuple[_Monomial, Fraction], ...]
+
+# frozenset() is a fresh 216-byte object on each call; share one.
+_NO_EXP: frozenset = frozenset()
+_ONE: _NF = ((((), _NO_EXP), Fraction(1)),)
 
 
-def _nf_from_dict(d: dict[_Key, Fraction]) -> _NF:
-    items = [(k, c) for k, c in d.items() if c != 0]
-    items.sort(key=lambda kc: tuple((sort_key(f), e) for f, e in kc[0]))
-    return tuple(items)
+def _merge(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> list:
+    """Sum the values of equal keys; drop the keys whose sum is zero."""
+    d: dict = {}
+    for k, v in pairs:
+        d[k] = d.get(k, 0) + v
+    return [kv for kv in d.items() if kv[1]]
 
 
-def _add_nf(a: _NF, b: _NF) -> _NF:
-    d = dict(a)
-    for k, c in b:
-        d[k] = d.get(k, Fraction(0)) + c
-    return _nf_from_dict(d)
+def _exparg(pairs) -> frozenset:
+    return frozenset(pairs) if pairs else _NO_EXP
 
 
-def _scale_nf(a: _NF, c: Fraction) -> _NF:
-    if c == 0:
-        return ()
-    return tuple((k, coeff * c) for k, coeff in a)
-
-
-def _term_key(coeff: Fraction, factors: dict[Expr, int], exparg: _NF):
-    """Fold exponential content into a single canonical exp factor."""
-    fs = dict(factors)
-    if exparg:
-        fs[Func("exp", rebuild(exparg))] = 1
-    items = [(f, e) for f, e in fs.items() if e != 0]
-    items.sort(key=lambda fe: (sort_key(fe[0]), fe[1]))
-    return tuple(items), coeff
-
-
-def _split_term(key: _Key) -> tuple[dict[Expr, int], _NF]:
-    """Separate a monomial key into plain factors and exponential content."""
-    factors: dict[Expr, int] = {}
-    exparg: _NF = ()
-    for f, e in key:
-        if isinstance(f, Func) and f.name == "exp":
-            exparg = _add_nf(exparg, _scale_nf(_nf(f.arg), Fraction(e)))
-        else:
-            factors[f] = factors.get(f, 0) + e
+def _mono_mul(a: _Monomial, b: _Monomial) -> _Monomial:
+    (fa, xa), (fb, xb) = a, b
+    if fa and fb:
+        factors = tuple(sorted(_merge(fa + fb), key=lambda fe: sort_key(fe[0])))
+    else:
+        factors = fa or fb
+    exparg = _exparg(_merge([*xa, *xb])) if xa and xb else xa or xb
     return factors, exparg
 
 
 def _mul_nf(a: _NF, b: _NF) -> _NF:
-    if not a or not b:
-        return ()
-    d: dict[_Key, Fraction] = {}
-    for ka, ca in a:
-        fa, ea = _split_term(ka)
-        for kb, cb in b:
-            fb, eb = _split_term(kb)
-            factors = dict(fa)
-            for f, e in fb.items():
-                factors[f] = factors.get(f, 0) + e
-            key, coeff = _term_key(ca * cb, factors, _add_nf(ea, eb))
-            d[key] = d.get(key, Fraction(0)) + coeff
-    return _nf_from_dict(d)
+    return tuple(_merge((_mono_mul(ma, mb), ca * cb) for ma, ca in a for mb, cb in b))
 
 
 def _pow_nf(base: _NF, k: int) -> _NF:
     if k == 0:
-        return (((), Fraction(1)),)
+        return _ONE
     if not base:
         if k < 0:
             raise ExprError("zero raised to a negative power")
         return ()
     if len(base) == 1:
-        key, coeff = base[0]
-        if coeff == 0:
-            return ()
-        factors, exparg = _split_term(key)
-        newkey, newcoeff = _term_key(
-            coeff**k,
-            {f: e * k for f, e in factors.items()},
-            _scale_nf(exparg, Fraction(k)),
-        )
-        return ((newkey, newcoeff),)
+        ((factors, exparg), coeff), = base
+        factors = tuple((f, e * k) for f, e in factors)
+        exparg = _exparg([(m, c * k) for m, c in exparg])
+        return (((factors, exparg), coeff**k),)
     if k > 0:
         out = base
         for _ in range(k - 1):
@@ -127,7 +102,7 @@ def _pow_nf(base: _NF, k: int) -> _NF:
 
 
 def _atom_nf(e: Expr) -> _NF:
-    return (((((e, 1),)), Fraction(1)),)
+    return (((((e, 1),), _NO_EXP), Fraction(1)),)
 
 
 @lru_cache(maxsize=None)
@@ -135,16 +110,17 @@ def _nf(e: Expr) -> _NF:
     if isinstance(e, Num):
         if e.value == 0:
             return ()
-        return (((), e.value),)
+        return ((((), _NO_EXP), e.value),)
     if isinstance(e, (Jet, Param, PhiSymbol, SigmaSymbol)):
         return _atom_nf(e)
     if isinstance(e, Add):
-        out: _NF = ()
+        # A plain loop: a generator here would add frames per nesting level.
+        pairs = []
         for t in e.terms:
-            out = _add_nf(out, _nf(t))
-        return out
+            pairs.extend(_nf(t))
+        return tuple(_merge(pairs))
     if isinstance(e, Mul):
-        out = (((), Fraction(1)),)
+        out = _ONE
         for f in e.factors:
             out = _mul_nf(out, _nf(f))
             if not out:
@@ -153,33 +129,37 @@ def _nf(e: Expr) -> _NF:
     if isinstance(e, Pow):
         return _pow_nf(_nf(e.base), e.exponent)
     if isinstance(e, Func):
-        arg = rebuild(_nf(e.arg))
         if e.name == "exp":
-            key, coeff = _term_key(Fraction(1), {}, _nf(arg))
-            return ((key, coeff),)
+            return ((((), _exparg(_nf(e.arg))), Fraction(1)),)
+        arg = rebuild(_nf(e.arg))
         if arg == ZERO:
-            return () if e.name == "sin" else (((), Fraction(1)),)
+            return () if e.name == "sin" else _ONE
         return _atom_nf(Func(e.name, arg))
     if isinstance(e, Angle):
         return _atom_nf(Angle(rebuild(_nf(e.y)), rebuild(_nf(e.x))))
     raise ExprError(f"cannot normalize node {e!r}")
 
 
-def rebuild(nf: _NF) -> Expr:
-    """Reconstruct the canonical Expr for a normal form."""
+def rebuild(nf: Iterable[tuple[_Monomial, Fraction]]) -> Expr:
+    """Reconstruct the canonical Expr for a normal form.
+
+    Factors are ordered by ``sort_key``, the exp factor among them, and
+    monomials by their ordered factors.
+    """
+    keys: dict[Expr, tuple] = {}
     terms = []
-    for key, coeff in nf:
-        factors = []
-        if coeff != 1 or not key:
-            factors.append(Num(coeff))
-        for f, e in key:
-            factors.append(f if e == 1 else Pow(f, e))
-        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    for (factors, exparg), coeff in nf:
+        if exparg:
+            factors = (*factors, (Func("exp", rebuild(exparg)), 1))
+        for f, _ in factors:
+            if f not in keys:
+                keys[f] = sort_key(f)
+        factors = sorted(factors, key=lambda fe: keys[fe[0]])
+        out = [Num(coeff)] if coeff != 1 or not factors else []
+        out.extend(f if e == 1 else Pow(f, e) for f, e in factors)
+        terms.append(([(keys[f], e) for f, e in factors], mul(*out)))
+    terms.sort(key=lambda kt: kt[0])
+    return add(*(term for _, term in terms))
 
 
 def normalize(e: Expr) -> Expr:

@@ -32,6 +32,7 @@ from .nodes import (
     Param,
     Pow,
     add,
+    mul,
 )
 
 _TOKEN = re.compile(
@@ -116,12 +117,12 @@ class _Parser:
         return add(*terms)
 
     def term(self) -> Expr:
-        node = self.unary()
+        factors = [self.unary()]
         while self.peek().text in ("*", "/"):
             op = self.advance().text
             rhs = self.unary()
-            node = node * rhs if op == "*" else node / rhs
-        return node
+            factors.append(rhs if op == "*" else Pow(rhs, -1))
+        return mul(*factors)
 
     def unary(self) -> Expr:
         if self.peek().text == "-":

@@ -273,14 +273,18 @@ def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
-def _long_sum_model(tmp_path, terms):
-    body = " + ".join(f"{k}*x^{k % 7 + 1}" for k in range(1, terms + 1))
-    model = tmp_path / f"sum{terms}.model"
+def _long_model(tmp_path, name, body):
+    model = tmp_path / f"{name}.model"
     model.write_text(
         f"dim = 1\norder = 1\ncoordinates = x\nlagrangian = 1/2*x'^2 + {body}\nsigma = x\n",
         encoding="utf-8",
     )
     return str(model)
+
+
+def _long_sum_model(tmp_path, terms):
+    body = " + ".join(f"{k}*x^{k % 7 + 1}" for k in range(1, terms + 1))
+    return _long_model(tmp_path, f"sum{terms}", body)
 
 
 def test_cli_derive_long_sum(tmp_path, capsys):
@@ -293,6 +297,11 @@ def test_cli_derive_long_sums_in_one_process(tmp_path, capsys):
     for terms in (200, 300):
         assert main(["derive", _long_sum_model(tmp_path, terms)]) == 0, terms
     assert capsys.readouterr().err == ""
+
+
+def test_cli_derive_long_product(tmp_path, capsys):
+    assert main(["derive", _long_model(tmp_path, "product300", "*".join(["x"] * 300))]) == 0
+    assert capsys.readouterr().out.startswith("# expanded equations")
 
 
 def _assert_value_error(capsys):

@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcmech import (
+    Add,
     Angle,
     ExprError,
     Func,
     Jet,
     JetOrderError,
     JetSpace,
+    Mul,
     Num,
     Param,
     ParseError,
@@ -353,6 +355,36 @@ def test_total_derivative_is_the_jet_chain_rule_property(e):
             return str(err)
 
     assert outcome(total_derivative(e, space)) == outcome(chain)
+
+
+def _mirror(e):
+    """``e`` with the terms of every Add and the factors of every Mul reversed."""
+    if isinstance(e, Add):
+        return Add(tuple(_mirror(t) for t in reversed(e.terms)))
+    if isinstance(e, Mul):
+        return Mul(tuple(_mirror(f) for f in reversed(e.factors)))
+    if isinstance(e, Pow):
+        return Pow(_mirror(e.base), e.exponent)
+    if isinstance(e, Func):
+        return Func(e.name, _mirror(e.arg))
+    if isinstance(e, Angle):
+        return Angle(_mirror(e.y), _mirror(e.x))
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculus_exprs())
+def test_normalize_does_not_depend_on_input_order_property(e):
+    m = _mirror(e)
+    try:
+        n, nm = normalize(e), normalize(m)
+    except ExprError:
+        # A zero base to a negative power; a zero factor before it in a
+        # product short-circuits the error, so only one order may raise.
+        assume(False)
+    assert n == nm
+    assert normalize(n) == n
+    assert is_zero(e - m)
 
 
 def test_print_roundtrip_of_normalized_forms():
