@@ -32,10 +32,6 @@ from .nodes import (
     PhiSymbol,
     Pow,
     SigmaSymbol,
-    contains_sigma_symbol,
-    jets_in,
-    params_in,
-    phi_symbols_in,
 )
 
 
@@ -234,15 +230,26 @@ def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, f
 
 
 def free_symbols(*exprs: Expr):
-    """Union of jets, parameters, and abstract sigma symbols."""
+    """Union of jets, parameters, and abstract sigma symbols.
+
+    One walk that visits each distinct node object once, since unnormalized
+    trees share subtrees.
+    """
     jets: set[tuple[int, int]] = set()
     names: set[str] = set()
-    for e in exprs:
-        jets |= jets_in(e)
-        names |= params_in(e)
-        names |= {p.eval_name for p in phi_symbols_in(e)}
-        if contains_sigma_symbol(e):
-            names.add(SIGMA_EVAL_NAME)
+    seen: set[int] = set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Jet):
+            jets.add((node.index, node.order))
+        elif isinstance(node, _SYMBOLS):
+            names.add(_symbol_name(node))
+        else:
+            stack.extend(node.children())
     return jets, names
 
 

@@ -6,6 +6,12 @@ powers, and the elementary functions exp/sin/cos plus a first-class
 two-argument polar-angle node.  Two extra atoms support "abstract mode",
 where the conformal factor is left unspecified and its partial derivatives
 appear as opaque symmetric symbols.
+
+Every node is a slotted frozen dataclass, so it has no ``__dict__``.  Its
+structural hash, ``hash((kind, *fields))``, is computed once, when the node
+is built, from its children's stored hashes, and kept in the ``_hash`` slot.
+Hashing a node is therefore O(1) and never recurses, however deep the tree;
+equality stays structural.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ class ExprError(Exception):
 
 class JetOrderError(ExprError):
     """A derivative would exceed the jet space's maximum order."""
+
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,18 @@ class JetSpace:
 class Expr:
     """Base of all expression nodes.  Instances are immutable and hashable."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    # Rank of the node class in ``sort_key``; also tells apart the hashes of
+    # nodes of different classes with the same fields.
+    _kind = -1
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through __init__, which sets _hash;
+        # ``__match_args__`` lists the fields in the order __init__ takes them.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -103,36 +123,67 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A slotted frozen dataclass with the stored hash of ``Expr``.
+
+    Each node class writes its own ``__init__``, which sets the fields and
+    then ``_hash = hash((kind, *fields))``; a child's hash is read from its
+    slot, so hashing never recurses.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Num(Expr):
     value: Fraction
+    _kind = 0
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        _set(self, "value", value)
+        _set(self, "_hash", hash((self._kind, value)))
 
 
-@dataclass(frozen=True)
+@_node
 class Jet(Expr):
     """The jet coordinate q^index with derivative order ``order`` (index 1-based)."""
 
     index: int
     order: int
+    _kind = 2
+
+    def __init__(self, index: int, order: int):
+        _set(self, "index", index)
+        _set(self, "order", order)
+        _set(self, "_hash", hash((self._kind, index, order)))
 
 
-@dataclass(frozen=True)
+@_node
 class Param(Expr):
     """Opaque named constant (e.g. a mass), bound at evaluation time."""
 
     name: str
+    _kind = 1
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((self._kind, name)))
 
 
-@dataclass(frozen=True)
+@_node
 class SigmaSymbol(Expr):
     """The conformal factor left opaque (abstract mode)."""
 
+    _kind = 4
 
-@dataclass(frozen=True)
+    def __init__(self):
+        _set(self, "_hash", hash((self._kind,)))
+
+
+@_node
 class PhiSymbol(Expr):
     """Opaque mixed partial of the abstract conformal factor.
 
@@ -140,35 +191,54 @@ class PhiSymbol(Expr):
     """
 
     indices: tuple[int, ...]
+    _kind = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+    def __init__(self, indices: tuple[int, ...]):
+        indices = tuple(sorted(indices))
+        _set(self, "indices", indices)
+        _set(self, "_hash", hash((self._kind, indices)))
 
     @property
     def eval_name(self) -> str:
         return "phi_" + "_".join(str(i) for i in self.indices)
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     terms: tuple[Expr, ...]
+    _kind = 9
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        _set(self, "terms", terms)
+        _set(self, "_hash", hash((self._kind, terms)))
 
     def children(self):
         return self.terms
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     factors: tuple[Expr, ...]
+    _kind = 8
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        _set(self, "factors", factors)
+        _set(self, "_hash", hash((self._kind, factors)))
 
     def children(self):
         return self.factors
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
+    _kind = 7
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_hash", hash((self._kind, base, exponent)))
 
     def children(self):
         return (self.base,)
@@ -177,27 +247,37 @@ class Pow(Expr):
 FUNCTIONS = ("exp", "sin", "cos")
 
 
-@dataclass(frozen=True)
+@_node
 class Func(Expr):
     """Elementary function application: exp, sin, or cos."""
 
     name: str
     arg: Expr
+    _kind = 5
 
-    def __post_init__(self):
-        if self.name not in FUNCTIONS:
-            raise ExprError(f"unknown function {self.name!r}")
+    def __init__(self, name: str, arg: Expr):
+        if name not in FUNCTIONS:
+            raise ExprError(f"unknown function {name!r}")
+        _set(self, "name", name)
+        _set(self, "arg", arg)
+        _set(self, "_hash", hash((self._kind, name, arg)))
 
     def children(self):
         return (self.arg,)
 
 
-@dataclass(frozen=True)
+@_node
 class Angle(Expr):
     """atan2(y, x): the polar angle of (x, y), undefined at the origin."""
 
     y: Expr
     x: Expr
+    _kind = 6
+
+    def __init__(self, y: Expr, x: Expr):
+        _set(self, "y", y)
+        _set(self, "x", x)
+        _set(self, "_hash", hash((self._kind, y, x)))
 
     def children(self):
         return (self.y, self.x)
@@ -257,23 +337,9 @@ def angle(y, x) -> Expr:
     return Angle(as_expr(y), as_expr(x))
 
 
-_KIND_RANK = {
-    Num: 0,
-    Param: 1,
-    Jet: 2,
-    PhiSymbol: 3,
-    SigmaSymbol: 4,
-    Func: 5,
-    Angle: 6,
-    Pow: 7,
-    Mul: 8,
-    Add: 9,
-}
-
-
 def sort_key(e: Expr):
     """Total structural order on expressions, used for canonical forms."""
-    k = _KIND_RANK[type(e)]
+    k = e._kind
     if isinstance(e, Num):
         return (k, e.value.numerator, e.value.denominator)
     if isinstance(e, Param):
@@ -305,18 +371,6 @@ def walk(e: Expr) -> Iterable[Expr]:
 
 def jets_in(e: Expr) -> set[tuple[int, int]]:
     return {(n.index, n.order) for n in walk(e) if isinstance(n, Jet)}
-
-
-def params_in(e: Expr) -> set[str]:
-    return {n.name for n in walk(e) if isinstance(n, Param)}
-
-
-def phi_symbols_in(e: Expr) -> set[PhiSymbol]:
-    return {n for n in walk(e) if isinstance(n, PhiSymbol)}
-
-
-def contains_sigma_symbol(e: Expr) -> bool:
-    return any(isinstance(n, SigmaSymbol) for n in walk(e))
 
 
 def contains_exp(e: Expr) -> bool:

@@ -57,7 +57,8 @@ def _merge(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> list:
     """Sum the values of equal keys; drop the keys whose sum is zero."""
     d: dict = {}
     for k, v in pairs:
-        d[k] = d.get(k, 0) + v
+        old = d.get(k)
+        d[k] = v if old is None else old + v
     return [kv for kv in d.items() if kv[1]]
 
 
@@ -122,9 +123,9 @@ def _nf(e: Expr) -> _NF:
     if isinstance(e, Mul):
         out = _ONE
         for f in e.factors:
-            out = _mul_nf(out, _nf(f))
-            if not out:
-                return ()
+            nf = _nf(f)  # even after a zero factor, so that its errors raise
+            if out:
+                out = _mul_nf(out, nf)
         return out
     if isinstance(e, Pow):
         return _pow_nf(_nf(e.base), e.exponent)

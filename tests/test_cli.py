@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,27 @@ def test_cli_byte_identical_reports():
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    (model, f"{form}.{ext}", ["derive", "--form", form, "--format", fmt])
+    for model in BUNDLED
+    for form in ("classical", "expanded", "compact")
+    for fmt, ext in (("text", "txt"), ("latex", "tex"))
+] + [(model, "verify.json", ["verify", "--seed", "42"]) for model in BUNDLED]
+
+
+@pytest.mark.parametrize(
+    "model, suffix, argv", GOLDEN_CASES, ids=[f"{m}.{s}" for m, s, _ in GOLDEN_CASES]
+)
+def test_cli_output_matches_golden_files(capsys, model, suffix, argv):
+    # tests/golden/MODEL.SUFFIX holds the stdout of
+    # `lcmech COMMAND src/lcmech/models/MODEL.model FLAGS`.
+    code = main([argv[0], str(bundled_path(model)), *argv[1:]])
+    assert code == 0
+    expected = (GOLDEN / f"{model}.{suffix}").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Expression core: parsing, printing, normalization, jet calculus."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmech import (
@@ -338,6 +339,13 @@ def calculus_exprs(draw):
     return build(draw(st.integers(0, 3)))
 
 
+def _normalized_or_error(e):
+    try:
+        return normalize(e)
+    except ExprError as err:
+        return str(err)
+
+
 @settings(max_examples=60, deadline=None)
 @given(calculus_exprs())
 def test_total_derivative_is_the_jet_chain_rule_property(e):
@@ -347,14 +355,8 @@ def test_total_derivative_is_the_jet_chain_rule_property(e):
         *(mul(partial(e, i, s), Jet(i, s + 1)) for i in (1, 2) for s in range(3))
     )
 
-    def outcome(d):
-        # A drawn base or angle that is zero fails both routes alike.
-        try:
-            return normalize(d)
-        except ExprError as err:
-            return str(err)
-
-    assert outcome(total_derivative(e, space)) == outcome(chain)
+    # A drawn base or angle that is zero fails both routes alike.
+    assert _normalized_or_error(total_derivative(e, space)) == _normalized_or_error(chain)
 
 
 def _mirror(e):
@@ -376,15 +378,62 @@ def _mirror(e):
 @given(calculus_exprs())
 def test_normalize_does_not_depend_on_input_order_property(e):
     m = _mirror(e)
-    try:
-        n, nm = normalize(e), normalize(m)
-    except ExprError:
-        # A zero base to a negative power; a zero factor before it in a
-        # product short-circuits the error, so only one order may raise.
-        assume(False)
-    assert n == nm
+    # A zero base to a negative power raises in either order or in neither.
+    n = _normalized_or_error(e)
+    assert n == _normalized_or_error(m)
+    if isinstance(n, str):
+        return
     assert normalize(n) == n
     assert is_zero(e - m)
+
+
+def test_zero_factor_does_not_hide_a_zero_to_a_negative_power():
+    x = Jet(1, 0)
+    singular = Pow(x - x, -1)
+    for e in (Mul((num(0), singular)), Mul((singular, num(0)))):
+        with pytest.raises(ExprError, match="zero raised to a negative power"):
+            normalize(e)
+
+
+# ---------------------------------------------------------------------------
+# the hash contract of the nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculus_exprs())
+def test_rebuilt_trees_are_equal_with_equal_hashes_property(e):
+    # Every composite node built anew, and a pickled copy of every node.
+    for copy in (_mirror(_mirror(e)), pickle.loads(pickle.dumps(e))):
+        assert copy == e
+        assert hash(copy) == hash(e)
+
+
+def test_nodes_have_no_instance_dict():
+    x = Jet(1, 0)
+    nodes = [
+        num(3),
+        x,
+        Param("a"),
+        SigmaSymbol(),
+        PhiSymbol((2, 1)),
+        Add((x, x)),
+        Mul((x, x)),
+        Pow(x, 2),
+        Func("sin", x),
+        Angle(x, x),
+    ]
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    x = Jet(1, 0)
+    e = x
+    for k in range(20_000):
+        e = Add((e, num(1))) if k % 2 else Mul((e, x))
+    assert hash(e) == hash(e)
+    assert e == e
+    assert len({e, e}) == 1
 
 
 def test_print_roundtrip_of_normalized_forms():
