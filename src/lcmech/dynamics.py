@@ -1,14 +1,18 @@
 """Reduction of residual equations to explicit ODEs and their integration.
 
 The generated residuals are affine in the highest-order jets they contain,
-so the top derivatives solve a small linear system M(state) q_(k) = b(state).
-Integration is deterministic fixed-step RK4 on the first-order reduction.
+so the top derivatives solve a small linear system M(state) q_(k) = -b(state).
+M, b and an unrolled pivoted elimination are generated as one straight-line
+function of the state's scalars, and integration is deterministic fixed-step
+RK4 on the first-order reduction, generated as straight-line code per state
+size.
 The module also carries the first-order Lagrangian <-> Hamiltonian bridge:
 the Legendre transform and the locally conformal Hamiltonian vector field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -16,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import ConformalFactor, partial, substitute
-from .evaluate import compile_vector
+from .evaluate import compile_vector, exec_source, vector_source
 from .nodes import (
     Expr,
     ExprError,
@@ -47,7 +51,7 @@ class SingularDynamicsError(ExprError):
 
 @dataclass
 class ExplicitODE:
-    """Explicit form q_(k) = M^{-1} b of an equation set.
+    """Explicit form q_(k) = -M^{-1} b of an equation set.
 
     State layout: all jets of order < k for each coordinate, flattened as
     y[i-1 + r*s] = q^i_(s).
@@ -56,12 +60,11 @@ class ExplicitODE:
     dim: int
     top_order: int
     matrix_exprs: list[list[Expr]]
-    # y -> the r*r mass-matrix entries (row-major), then the r entries of b.
-    system: Callable = field(repr=False)
-    # system(y) -> (q_(k), det M), from M q_(k) = -b.
-    solve: Callable = field(repr=False)
     # The state followed by the top jets -> the r residuals.
     residuals: Callable = field(repr=False)
+    # field(y0, ..., y_{n-1}) -> dy/dt as a tuple, the function RK4 calls;
+    # field(y0, ..., y_{n-1}, True) -> (q_(k), det M), from M q_(k) = -b.
+    field: Callable = field(repr=False)
 
     @property
     def state_size(self) -> int:
@@ -69,11 +72,10 @@ class ExplicitODE:
 
     def top_derivatives(self, y) -> tuple[list[float], float]:
         """Solve for q_(k); returns (values, det of the mass matrix)."""
-        return self.solve(self.system(y))
+        return self.field(*y, True)
 
     def rhs(self, y) -> list[float]:
-        top, _ = self.solve(self.system(y))
-        return [*y[self.dim :], *top]
+        return list(self.field(*y))
 
     def residual_at(self, y) -> tuple[float, float]:
         """Max |residual| of the generating equations at a state, with the top
@@ -87,47 +89,88 @@ class ExplicitODE:
         return max(abs(v) for v in self.residuals([*y, *top])), det
 
 
-def _compile_solver(r: int):
+def _system_names(r: int) -> list[str]:
+    """Locals of the linear system: M row-major (m<i>_<j>), then b (c<i>)."""
+    return [f"m{i}_{j}" for i in range(r) for j in range(r)] + [f"c{i}" for i in range(r)]
+
+
+def _elimination(r: int) -> list[str]:
     """Gaussian elimination with partial pivoting, unrolled for r unknowns.
 
-    Returns f(s) -> (x, det) solving M x = -b, where ``s`` holds M row-major
-    and then b.  det is the signed product of the pivots; it is tested
-    against DET_THRESHOLD before any back substitution.
+    Unindented lines that solve M x = -b held in the locals of
+    ``_system_names`` and leave x in x0..x<r-1> and det M in ``det``.  det is
+    the signed product of the pivots; it is tested against DET_THRESHOLD
+    before any back substitution.
     """
     rows = [[f"m{i}_{j}" for j in range(r)] + [f"c{i}"] for i in range(r)]
-    lines = [
-        "def solve(s):",
-        f" {', '.join(n for row in rows for n in row[:r])}, "
-        f"{', '.join(row[r] for row in rows)}, = s",
-        *(f" {row[r]} = -{row[r]}" for row in rows),
-        " det = 1.0",
-    ]
+    lines = [*(f"{row[r]} = -{row[r]}" for row in rows), "det = 1.0"]
     for k in range(r):
         pivot = rows[k][k]
         for i in range(k + 1, r):
             # Swapping names is swapping rows: cols < k are already eliminated.
             lines += [
-                f" if abs({rows[i][k]}) > abs({pivot}):",
-                f"  {', '.join(rows[k][k:] + rows[i][k:])} = "
+                f"if abs({rows[i][k]}) > abs({pivot}):",
+                f" {', '.join(rows[k][k:] + rows[i][k:])} = "
                 f"{', '.join(rows[i][k:] + rows[k][k:])}",
-                "  det = -det",
+                " det = -det",
             ]
-        lines += [f" if {pivot} == 0.0: raise singular()", f" det *= {pivot}"]
+        lines += [f"if {pivot} == 0.0: raise singular()", f"det *= {pivot}"]
         for i in range(k + 1, r):
-            lines.append(f" f = {rows[i][k]} / {pivot}")
-            lines += [f" {rows[i][j]} -= f * {rows[k][j]}" for j in range(k + 1, r + 1)]
-    lines.append(" if abs(det) <= DET_THRESHOLD: raise singular()")
+            lines.append(f"f = {rows[i][k]} / {pivot}")
+            lines += [f"{rows[i][j]} -= f * {rows[k][j]}" for j in range(k + 1, r + 1)]
+    lines.append("if abs(det) <= DET_THRESHOLD: raise singular()")
     for k in range(r - 1, -1, -1):
-        lines.append(f" x{k} = {rows[k][r]} / {rows[k][k]}")
-        lines += [f" {rows[i][r]} -= {rows[i][k]} * x{k}" for i in range(k)]
-    lines.append(f" return [{', '.join(f'x{k}' for k in range(r))}], det")
-    env = {
-        "abs": abs,
-        "DET_THRESHOLD": DET_THRESHOLD,
-        "singular": lambda: SingularDynamicsError("mass matrix is singular", math.nan),
-    }
-    exec("\n".join(lines), env)
-    return env["solve"]
+        lines.append(f"x{k} = {rows[k][r]} / {rows[k][k]}")
+        lines += [f"{rows[i][r]} -= {rows[i][k]} * x{k}" for i in range(k)]
+    return lines
+
+
+# The names the elimination's lines use besides its locals.
+_SOLVE_NAMES = {
+    "abs": abs,
+    "DET_THRESHOLD": DET_THRESHOLD,
+    "singular": lambda: SingularDynamicsError("mass matrix is singular", math.nan),
+}
+
+
+def _compile_solver(r: int):
+    """The unrolled elimination as f(s) -> (x, det) solving M x = -b, where
+    ``s`` holds M row-major and then b."""
+    xs = ", ".join(f"x{k}" for k in range(r))
+    src = "\n".join(
+        [
+            "def solve(s):",
+            f" {', '.join(_system_names(r))}, = s",
+            *(" " + line for line in _elimination(r)),
+            f" return [{xs}], det",
+        ]
+    )
+    return exec_source(src, **_SOLVE_NAMES)["solve"]
+
+
+def _compile_field(r: int, n: int, system, slots, params):
+    """The fused vector field of a state of n floats and r coordinates.
+
+    ``system`` is M row-major and then b.  Returns ``field(j0, ...,
+    j<n-1>, solve=False)``: the entries of M and b with common subtrees
+    computed once, then the elimination.  It returns (j<r>, ..., j<n-1>,
+    x0, ..., x<r-1>) with x the top jets, or ([x0, ..., x<r-1>], det M)
+    when ``solve`` is true: one body, so the M and b arithmetic is
+    compiled once.
+    """
+    lines, outputs, _ = vector_source(system, slots, params)
+    xs = ", ".join(f"x{k}" for k in range(r))
+    src = "\n".join(
+        [
+            f"def field({''.join(f'j{i}, ' for i in range(n))}solve=False):",
+            *(" " + line for line in lines),
+            *(f" {name} = {out}" for name, out in zip(_system_names(r), outputs)),
+            *(" " + line for line in _elimination(r)),
+            f" if solve: return [{xs}], det",
+            f" return ({''.join(f'j{i}, ' for i in range(r, n))}{xs},)",
+        ]
+    )
+    return exec_source(src, **_SOLVE_NAMES)["field"]
 
 
 def _slots(r: int, k: int) -> dict[tuple[int, int], int]:
@@ -140,9 +183,10 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
 
     Degenerate Lagrangians lower the effective order below 2n (the planar
     chiral oscillator is third order, not fourth), so the order is read off
-    the residuals, not the nominal one.  The mass matrix and the residuals
-    with the top jets set to zero are compiled into one function of the
-    state, the full residuals into a second.
+    the residuals, not the nominal one.  The mass matrix, the residuals
+    with the top jets set to zero and the linear solve are compiled into one
+    function of the state's scalars, ``ExplicitODE.field``, the full
+    residuals into a second function.
     """
     if model.sigma.is_abstract:
         raise ReductionError("cannot reduce equations with an abstract conformal factor")
@@ -179,9 +223,8 @@ def to_explicit_ode(eqs: EquationSet, model: LagrangianModel) -> ExplicitODE:
         dim=r,
         top_order=k,
         matrix_exprs=matrix_exprs,
-        system=compile_vector(entries + rest_exprs, slots, params),
-        solve=_compile_solver(r),
         residuals=compile_vector(eqs.residuals, slots, params),
+        field=_compile_field(r, r * k, entries + rest_exprs, slots, params),
     )
 
 
@@ -221,11 +264,8 @@ class Trajectory:
         return names
 
     def write_csv(self, path):
-        rows = [",".join(self.column_names())]
-        for t, state, res in zip(
-            self.times.tolist(), self.states.tolist(), self.residuals.tolist()
-        ):
-            rows.append(",".join([repr(t), *map(repr, state), repr(res)]))
+        table = np.column_stack((self.times, self.states, self.residuals)).tolist()
+        rows = [",".join(self.column_names()), *[",".join(map(repr, row)) for row in table]]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
 
@@ -238,34 +278,59 @@ def _failed_at(err: Exception, t: float) -> SingularDynamicsError:
     return SingularDynamicsError(f"{type(err).__name__} in the vector field at t={t:.6g}", t)
 
 
-def _rk4(f, y: list[float], t0: float, dt: float, steps: int):
-    """Classical fixed-step RK4 on a flat list of floats.
+@functools.cache
+def _stepper(n: int):
+    """Classical fixed-step RK4 for a state of n floats, generated once per n.
 
-    Returns the grid times and the state at each.  A failure of ``f`` is
-    raised as a SingularDynamicsError with the time of the failing step, as
-    is a step that leaves the state non-finite.
+    Returns ``rk4(f, y, t0, dt, steps)``: ``f(y0, ..., y<n-1>)`` returns the
+    n derivatives, and ``y`` is the initial state as a sequence.  The state
+    and the four stages are scalar locals, so a step builds no list but the
+    state it keeps.  Returns the grid times and the state at each, as lists
+    of floats.  A failure of ``f`` is raised as a SingularDynamicsError with
+    the time of the failing step, as is a step that leaves the state
+    non-finite.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
-    times, states = [t0], [y]
-    t = t0
-    for step in range(steps):
-        try:
-            k1 = f(y)
-            k2 = f([a + half * b for a, b in zip(y, k1)])
-            k3 = f([a + half * b for a, b in zip(y, k2)])
-            k4 = f([a + dt * b for a, b in zip(y, k3)])
-        except (SingularDynamicsError, ArithmeticError) as err:
-            raise _failed_at(err, t) from err
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    y = [f"y{i}" for i in range(n)]
+    a, b, c, d = ([f"{k}{i}" for i in range(n)] for k in "abcd")
+
+    def call(scale, k):
+        return f"f({', '.join(f'{yi} + {scale} * {ki}' for yi, ki in zip(y, k))})"
+
+    ys = ", ".join(y)
+    src = "\n".join(
+        [
+            "def rk4(f, y, t0, dt, steps):",
+            " half, sixth = 0.5 * dt, dt / 6.0",
+            f" {ys}, = y",
+            f" times, states = [t0], [[{ys}]]",
+            " t = t0",
+            " for step in range(steps):",
+            "  try:",
+            f"   {', '.join(a)}, = f({ys})",
+            f"   {', '.join(b)}, = {call('half', a)}",
+            f"   {', '.join(c)}, = {call('half', b)}",
+            f"   {', '.join(d)}, = {call('dt', c)}",
+            "  except (SingularDynamicsError, ArithmeticError) as err:",
+            "   raise _failed_at(err, t) from err",
+            *(
+                f"  {yi} = {yi} + sixth * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
+                for yi, ai, bi, ci, di in zip(y, a, b, c, d)
+            ),
+            f"  if not ({' and '.join(f'isfinite({yi})' for yi in y)}):",
+            '   raise SingularDynamicsError(f"non-finite state at t={t:.6g}", t)',
+            "  t = t0 + (step + 1) * dt",
+            "  times.append(t)",
+            f"  states.append([{ys}])",
+            " return times, states",
         ]
-        if not all(map(math.isfinite, y)):
-            raise SingularDynamicsError(f"non-finite state at t={t:.6g}", t)
-        t = t0 + (step + 1) * dt
-        times.append(t)
-        states.append(y)
-    return times, states
+    )
+    env = {
+        "isfinite": math.isfinite,
+        "SingularDynamicsError": SingularDynamicsError,
+        "_failed_at": _failed_at,
+    }
+    exec(src, env)
+    return env["rk4"]
 
 
 def integrate(
@@ -290,7 +355,7 @@ def integrate(
             f"({ode.dim} coordinates x jets of order < {ode.top_order})"
         )
     steps = int(round((t1 - t0) / dt))
-    times, states = _rk4(ode.rhs, y.tolist(), t0, dt, steps)
+    times, states = _stepper(ode.state_size)(ode.field, y.tolist(), t0, dt, steps)
     residuals = [0.0] * len(times)
     det_min = math.inf
     samples = list(range(0, len(times), residual_stride))
@@ -495,7 +560,8 @@ def integrate_hamiltonian(ham: HamiltonianModel, q0, p0, t0, t1, dt):
     r = ham.dim
     z = [*map(float, q0), *map(float, p0)]
     steps = int(round((t1 - t0) / dt))
-    times, states = _rk4(conformal_hamilton_field(ham), z, t0, dt, steps)
+    vector_field = conformal_hamilton_field(ham)
+    times, states = _stepper(2 * r)(lambda *s: vector_field(s), z, t0, dt, steps)
     zs = np.array(states)
     return np.array(times), zs[:, :r], zs[:, r:]
 

@@ -2,9 +2,11 @@
 
 ``evaluate`` is a straightforward recursive interpreter (exact rational
 subtrees are folded with Fractions before float conversion), kept as the
-reference the compiled paths are tested against.  ``compile_vector`` turns
-several expressions into one Python function of a flat state; it serves both
-dynamical pictures, the explicit ODE and the Hamiltonian field.
+reference the compiled paths are tested against.  ``vector_source`` writes
+several expressions of a flat state as straight-line Python with shared
+subtrees computed once; ``compile_vector`` wraps that source into one
+function of the state list, and the explicit ODE fuses it with its linear
+solve into one function of the state as scalars.
 ``compile_expr`` turns one expression into a plain Python lambda on a point
 dict, for ``equivalent`` and the variational check.  ``equivalent`` decides
 equality of two expressions by evaluating both at random points, in the style
@@ -157,15 +159,17 @@ def _literal(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
-    """Compile several expressions into one function f(y) -> tuple of floats.
+def vector_source(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
+    """Python source for several expressions of one state, without a def.
 
-    Jet q^i_(s) is read from ``y[slots[(i, s)]]``, parameters are baked in
-    as float constants, and an expression that is a bare number is returned
-    as a float.  A subtree that occurs more than once, within one expression
-    or across several, is computed once into a local variable.  Each
-    expression keeps the operation order of ``compile_expr``, so both give
-    the same floats.
+    Returns ``(lines, outputs, read)``: the unindented lines ``t<k> = ...``
+    that compute each shared subtree once, one expression per entry of
+    ``exprs``, and the sorted state indices the source reads.  Jet q^i_(s)
+    is the local ``j<slots[(i, s)]>``, parameters are baked in as float
+    constants, and an expression that is a bare number is a float literal.
+    A subtree that occurs more than once, within one expression or across
+    several, gets a line of its own.  Each expression keeps the operation
+    order of ``compile_expr``, so both give the same floats.
     """
     exprs = list(exprs)
     read: set[int] = set()
@@ -214,19 +218,41 @@ def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, f
     def named(node):
         return names.get(group[id(node)])
 
-    body = []
+    lines = []
     for k, node in enumerate(first):
         if uses[k] > 1 and node.children():
-            body.append(f" t{k} = {_codegen(node, leaf, named)}")
+            lines.append(f"t{k} = {_codegen(node, leaf, named)}")
             names[k] = f"t{k}"
-    out = [
+    outputs = [
         _literal(e.value) if isinstance(e, Num) else _codegen(e, leaf, named) for e in exprs
     ]
-    loads = [f" j{i} = y[{i}]" for i in sorted(read)]
-    src = "\n".join(["def f(y):", *loads, *body, f" return ({''.join(o + ', ' for o in out)})"])
-    env = dict(_COMPILE_ENV)
+    return lines, outputs, sorted(read)
+
+
+def exec_source(src: str, **names) -> dict:
+    """Run generated source in the compiled-code namespace extended by
+    ``names``, and return that namespace."""
+    env = {**_COMPILE_ENV, **names}
     exec(src, env)
-    return env["f"]
+    return env
+
+
+def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
+    """Compile several expressions into one function f(y) -> tuple of floats.
+
+    The body is ``vector_source``'s: jet q^i_(s) is read from
+    ``y[slots[(i, s)]]`` once, and each shared subtree is computed once.
+    """
+    lines, outputs, read = vector_source(exprs, slots, params)
+    src = "\n".join(
+        [
+            "def f(y):",
+            *(f" j{i} = y[{i}]" for i in read),
+            *(" " + line for line in lines),
+            f" return ({''.join(o + ', ' for o in outputs)})",
+        ]
+    )
+    return exec_source(src)["f"]
 
 
 def free_symbols(*exprs: Expr):

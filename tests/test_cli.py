@@ -281,6 +281,14 @@ def test_cli_simulate_blow_up_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
 
+def test_cli_simulate_non_finite_state_is_a_numerical_failure(tmp_path, capsys):
+    # The first step overflows the state to inf without the field raising.
+    model = str(bundled_path("harmonic_oscillator"))
+    flags = ["--t1", "4", "--dt", "1", "--initial", "x: 1e308, x': 1e308"]
+    assert main(["simulate", model, *flags, "--output", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite state at t=0\n"
+
+
 def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
     text = bundled_path("chiral_lc").read_text(encoding="utf-8")
     model = tmp_path / "abstract.model"

@@ -367,6 +367,72 @@ def test_integrate_hamiltonian_matches_numpy_loop():
             _assert_rel(got_col, want_col)
 
 
+def _list_rk4(f, y, t0, dt, steps):
+    """The list-based RK4 stepper the generated one replaced, kept as the
+    reference it must match bit for bit."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    times, states = [t0], [y]
+    t = t0
+    for step in range(steps):
+        k1 = f(y)
+        k2 = f([a + half * b for a, b in zip(y, k1)])
+        k3 = f([a + half * b for a, b in zip(y, k2)])
+        k4 = f([a + dt * b for a, b in zip(y, k3)])
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        assert all(map(math.isfinite, y))
+        t = t0 + (step + 1) * dt
+        times.append(t)
+        states.append(y)
+    return times, states
+
+
+def test_integrate_is_bit_identical_to_list_stepper_on_bundled_models():
+    rng = random.Random(5)
+    for name, _, _, ode in _bundled_odes():
+        y0 = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(ode.state_size)]
+        dt = 1e-3
+        want_t, want_y = _list_rk4(ode.rhs, y0, 0.25, dt, 200)
+        traj = integrate(ode, y0, 0.25, 0.25 + 200 * dt, dt)
+        assert traj.times.tolist() == want_t, name
+        assert traj.states.tolist() == want_y, name
+
+
+def test_fused_field_is_rhs_on_bundled_models():
+    rng = random.Random(13)
+    for name, _, _, ode in _bundled_odes():
+        for _ in range(20):
+            y = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(ode.state_size)]
+            assert ode.field(*y) == tuple(ode.rhs(y)), name
+
+
+def test_integrate_hamiltonian_is_bit_identical_to_list_stepper():
+    m = _model(
+        2, 1, "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)", ["x", "y"], sigma_text="1/4*x + 1/3*y"
+    )
+    ham = legendre_first_order(m)
+    dt, steps = 1e-3, 300
+    z0 = [0.8, -0.3, 0.1, 0.6]
+    want_t, want_z = _list_rk4(conformal_hamilton_field(ham), z0, 0.0, dt, steps)
+    times, qs, ps = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
+    assert times.tolist() == want_t
+    assert np.hstack([qs, ps]).tolist() == want_z
+
+
+def test_vector_field_failure_carries_the_start_of_its_step():
+    # x'' = x'^2 / 2 from x'(0) = 1.6 blows up at t = 1.25; with dt = 0.25
+    # the stages of the step from t = 1.75 overflow.
+    model = load_model(bundled_path("conformal_toy_1d")).model
+    ode = to_explicit_ode(conformal_el_expanded(model), model)
+    with pytest.raises(SingularDynamicsError) as err:
+        integrate(ode, [0.0, 1.6], 0.0, 3.0, 0.25)
+    assert err.value.time == 1.75
+    assert str(err.value) == "OverflowError in the vector field at t=1.75"
+    assert isinstance(err.value.__cause__, OverflowError)
+
+
 def test_residual_pass_singularity_carries_its_time():
     m = _model(1, 1, "1/2*x*x'^2", ["x"])
     ode = to_explicit_ode(conformal_el_expanded(m), m)
