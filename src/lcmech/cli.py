@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from .calculus import ConformalFactor
 from .combinatorics import (
@@ -46,7 +45,7 @@ from .evaluate import equivalent
 from .modelfile import E_VALUE, ModelFileError, jet_key, load_model, parse_initial
 from .nodes import ExprError, JetSpace, exp, mul
 from .normalize import is_zero, normalize
-from .printing import to_latex, to_text
+from .printing import jet_mark, rational, to_latex, to_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -59,43 +58,25 @@ SPAN_TOL = 1e-9
 _LETTERS = "ijklmnpr"
 
 
-def _fmt_coeff(c: Fraction, latex: bool) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    if latex:
-        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _fmt_jet(order: int, letter: str, latex: bool) -> str:
-    if latex:
-        if order == 1:
-            return f"\\dot{{q}}^{{{letter}}}"
-        if order == 2:
-            return f"\\ddot{{q}}^{{{letter}}}"
-        return f"q_{{({order})}}^{{{letter}}}"
-    mark = "'" * order if order <= 3 else f"({order})"
-    return f"q{mark}^{letter}"
+def _bell_monomial(term, latex: bool, *factors: str) -> str:
+    """One term of B_{s,m}: its coefficient, ``factors``, then one jet per block."""
+    coeff = rational(term.coefficient, latex)
+    parts = [coeff] if coeff != "1" else []
+    parts += factors
+    for slot, order in enumerate(term.factor_orders):
+        letter = _LETTERS[slot]
+        parts.append(jet_mark("q", order, latex) + (f"^{{{letter}}}" if latex else f"^{letter}"))
+    return (" " if latex else "*").join(parts)
 
 
 def format_bell_polynomial(s: int, m: int, latex: bool = False) -> str:
     """The partial exponential Bell polynomial B_{s,m} with letter indices."""
-    parts = []
-    for term in bell_terms(s, m):
-        factors = []
-        coeff = _fmt_coeff(term.coefficient, latex)
-        if coeff != "1":
-            factors.append(coeff)
-        for slot, order in enumerate(term.factor_orders):
-            factors.append(_fmt_jet(order, _LETTERS[slot], latex))
-        joiner = " " if latex else "*"
-        parts.append(joiner.join(factors))
-    return " + ".join(parts)
+    return " + ".join(_bell_monomial(term, latex) for term in bell_terms(s, m))
 
 
 def format_partition_tensor(m: int, latex: bool = False) -> str:
     """The signed partition sum of sigma partials over m letter indices."""
-    parts = []
+    out = ""
     for blocks in set_partitions(m):
         sign = "-" if len(blocks) % 2 else "+"
         factors = []
@@ -106,13 +87,7 @@ def format_partition_tensor(m: int, latex: bool = False) -> str:
             else:
                 factors.append(f"phi_{letters}")
         body = (" " if latex else "*").join(factors)
-        parts.append((sign, body))
-    out = ""
-    for k, (sign, body) in enumerate(parts):
-        if k == 0:
-            out = ("-" if sign == "-" else "") + body
-        else:
-            out += f" {sign} {body}"
+        out += f" {sign} {body}" if out else ("-" if sign == "-" else "") + body
     return out
 
 
@@ -120,18 +95,8 @@ def format_exp_derivative_factor(s: int, latex: bool = False) -> str:
     """The factor F_s of d^s/dt^s e^{-sigma} = e^{-sigma} F_s, per block count m."""
     lines = []
     for m in range(1, s + 1):
-        tensor = format_partition_tensor(m, latex)
-        terms = []
-        for term in bell_terms(s, m):
-            factors = []
-            coeff = _fmt_coeff(term.coefficient, latex)
-            if coeff != "1":
-                factors.append(coeff)
-            factors.append(f"({tensor})")
-            for slot, order in enumerate(term.factor_orders):
-                factors.append(_fmt_jet(order, _LETTERS[slot], latex))
-            joiner = " " if latex else "*"
-            terms.append(joiner.join(factors))
+        tensor = f"({format_partition_tensor(m, latex)})"
+        terms = (_bell_monomial(term, latex, tensor) for term in bell_terms(s, m))
         lines.append(f"  m={m}: " + " + ".join(terms))
     return "\n".join(lines)
 

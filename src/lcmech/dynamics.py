@@ -394,7 +394,6 @@ class HamiltonianModel:
     sigma: ConformalFactor
     dim: int
     params: dict[str, float] = field(default_factory=dict)
-    velocity_exprs: tuple[Expr, ...] = ()
 
 
 def _velocity_hessian(model: LagrangianModel) -> list[list[Expr]]:
@@ -447,7 +446,6 @@ def legendre_first_order(model: LagrangianModel) -> HamiltonianModel:
         sigma=model.sigma,
         dim=r,
         params=dict(model.parameters),
-        velocity_exprs=tuple(velocities),
     )
 
 

@@ -23,7 +23,6 @@ from .nodes import (
     JetSpace,
     Num,
     add,
-    contains_exp,
     exp,
     jets_in,
     mul,
@@ -66,12 +65,6 @@ class EquationSet:
     residuals: tuple[Expr, ...]
     form: str
     order: int
-
-    def __post_init__(self):
-        if self.form == CONFORMAL_EXPANDED:
-            for r in self.residuals:
-                if contains_exp(r):
-                    raise ExprError("expanded residuals must carry no exponential factor")
 
     @property
     def dim(self) -> int:
@@ -121,8 +114,8 @@ def conformal_rhs(model: LagrangianModel, normalized: bool = True) -> tuple[Expr
 def conformal_el_expanded(model: LagrangianModel) -> EquationSet:
     """Locally conformal equations in expanded form: classical minus source.
 
-    Contains no exponential factor; valid in both abstract and concrete
-    sigma modes.
+    Carries no e^{+-sigma} weight (any exp that comes from L or sigma
+    stays); valid in both abstract and concrete sigma modes.
     """
     classical = classical_el(model)
     sources = conformal_rhs(model)

@@ -1,11 +1,17 @@
-"""Text and LaTeX rendering of expressions.
+"""Text and LaTeX rendering of expressions, from one precedence walk.
 
-The text form uses the same grammar the parser accepts, so printing and
-reparsing round-trips (abstract-mode symbols, which have no input syntax,
-are rendered for display only).
+``_render(e, names, latex)`` wraps a child that binds more loosely than its
+place needs in ``(...)`` or ``\\left(...\\right)``.  The spellings that
+differ live in ``rational`` and ``jet_mark``, which ``bell`` uses too.  Text
+output is in the parser's grammar and re-parses to the same expression
+(``sigma`` and ``phi[..]`` have no input syntax).  So that unnormalized
+trees typeset, LaTeX parenthesizes a power of ``e^{...}`` and a negative
+factor after the first, and puts ``\\cdot`` before a factor led by a digit.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .nodes import (
     Add,
@@ -23,168 +29,101 @@ from .nodes import (
 
 _ATOM, _POW, _MUL, _ADD = 4, 3, 2, 1
 
-_GREEK = {
-    "alpha", "beta", "gamma", "delta", "epsilon", "theta", "kappa",
-    "lambda", "mu", "nu", "xi", "rho", "sigma", "tau", "phi", "chi",
-    "psi", "omega",
-}
-_GREEK_ALIAS = {"lam": "lambda"}
+_GREEK = (
+    "alpha beta gamma delta epsilon theta kappa lambda mu nu xi rho sigma tau"
+    " phi chi psi omega"
+).split()
+_LATEX_NAMES = {"lam": "\\lambda", **{g: "\\" + g for g in _GREEK}}
 
 
-def _coord(names, index: int) -> str:
-    if names and 1 <= index <= len(names):
-        return names[index - 1]
-    return f"q{index}"
+def rational(value: Fraction, latex: bool) -> str:
+    """``value`` spelled as ``3``, ``-1/2`` or ``-\\frac{1}{2}``."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    if latex:
+        sign = "-" if value < 0 else ""
+        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return f"{value.numerator}/{value.denominator}"
 
 
-def _jet_text(e: Jet, names) -> str:
-    base = _coord(names, e.index)
-    if e.order == 0:
+def jet_mark(base: str, order: int, latex: bool) -> str:
+    """The ``order``-th time derivative of ``base``, as the dialect marks it."""
+    if order == 0:
         return base
-    if e.order <= 3:
-        return base + "'" * e.order
-    return f"{base}({e.order})"
+    if not latex:
+        return base + "'" * order if order <= 3 else f"{base}({order})"
+    if order <= 2:
+        return ("\\dot{", "\\ddot{")[order - 1] + base + "}"
+    return f"{base}_{{({order})}}"
+
+
+def _name(name: str, latex: bool) -> str:
+    return _LATEX_NAMES.get(name, name) if latex else name
 
 
 def to_text(e: Expr, names: list[str] | None = None) -> str:
-    text, _ = _render(e, names)
-    return text
-
-
-def _paren(text: str, level: int, need: int) -> str:
-    return f"({text})" if level < need else text
-
-
-def _render(e: Expr, names) -> tuple[str, int]:
-    if isinstance(e, Num):
-        if e.value.denominator == 1:
-            text = str(e.value.numerator)
-            return text, (_ATOM if e.value >= 0 else _ADD)
-        return f"{e.value.numerator}/{e.value.denominator}", _MUL
-    if isinstance(e, Jet):
-        return _jet_text(e, names), _ATOM
-    if isinstance(e, Param):
-        return e.name, _ATOM
-    if isinstance(e, SigmaSymbol):
-        return "sigma", _ATOM
-    if isinstance(e, PhiSymbol):
-        return "phi[" + ",".join(str(i) for i in e.indices) + "]", _ATOM
-    if isinstance(e, Add):
-        parts = []
-        for t in e.terms:
-            text, level = _render(t, names)
-            text = _paren(text, level, _ADD)
-            if parts and text.startswith("-"):
-                parts.append(" - " + text[1:])
-            elif parts:
-                parts.append(" + " + text)
-            else:
-                parts.append(text)
-        return "".join(parts), _ADD
-    if isinstance(e, Mul):
-        sign = ""
-        factors = list(e.factors)
-        # A leading negative coefficient reads better as a sign.
-        if factors and isinstance(factors[0], Num) and factors[0].value < 0:
-            sign = "-"
-            head = Num(-factors[0].value)
-            factors = factors[1:] if head.value == 1 and len(factors) > 1 else [head] + factors[1:]
-        parts = []
-        for f in factors:
-            text, level = _render(f, names)
-            parts.append(_paren(text, level, _MUL))
-        return sign + "*".join(parts), _MUL
-    if isinstance(e, Pow):
-        base, level = _render(e.base, names)
-        base = _paren(base, level, _ATOM)
-        if e.exponent < 0:
-            return f"{base}^({e.exponent})", _POW
-        return f"{base}^{e.exponent}", _POW
-    if isinstance(e, Func):
-        return f"{e.name}({to_text(e.arg, names)})", _ATOM
-    if isinstance(e, Angle):
-        return f"atan2({to_text(e.y, names)}, {to_text(e.x, names)})", _ATOM
-    raise TypeError(f"cannot print {e!r}")
-
-
-def _latex_name(name: str) -> str:
-    name = _GREEK_ALIAS.get(name, name)
-    if name in _GREEK:
-        return "\\" + name
-    return name
-
-
-def _jet_latex(e: Jet, names) -> str:
-    base = _latex_name(_coord(names, e.index))
-    if e.order == 0:
-        return base
-    if e.order == 1:
-        return f"\\dot{{{base}}}"
-    if e.order == 2:
-        return f"\\ddot{{{base}}}"
-    return f"{base}_{{({e.order})}}"
+    return _render(e, names, False)[0]
 
 
 def to_latex(e: Expr, names: list[str] | None = None) -> str:
-    text, _ = _render_latex(e, names)
-    return text
+    return _render(e, names, True)[0]
 
 
-def _render_latex(e: Expr, names) -> tuple[str, int]:
+def _wrap(text: str, latex: bool) -> str:
+    return f"\\left({text}\\right)" if latex else f"({text})"
+
+
+def _bound(rendered: tuple[str, int], need: int, latex: bool) -> str:
+    text, level = rendered
+    return text if level >= need else _wrap(text, latex)
+
+
+def _render(e: Expr, names, latex: bool) -> tuple[str, int]:
+    # Children render in this frame (no closure or comprehension): one frame per level.
     if isinstance(e, Num):
-        if e.value.denominator == 1:
-            text = str(e.value.numerator)
-            return text, (_ATOM if e.value >= 0 else _ADD)
-        sign = "-" if e.value < 0 else ""
-        text = f"{sign}\\frac{{{abs(e.value.numerator)}}}{{{e.value.denominator}}}"
-        return text, (_ATOM if not sign else _ADD)
+        level = _MUL if e.value.denominator != 1 and not latex else _ATOM if e.value >= 0 else _ADD
+        return rational(e.value, latex), level
     if isinstance(e, Jet):
-        return _jet_latex(e, names), _ATOM
+        coord = names[e.index - 1] if names and 1 <= e.index <= len(names) else f"q{e.index}"
+        return jet_mark(_name(coord, latex), e.order, latex), _ATOM
     if isinstance(e, Param):
-        return _latex_name(e.name), _ATOM
+        return _name(e.name, latex), _ATOM
     if isinstance(e, SigmaSymbol):
-        return "\\sigma", _ATOM
+        return _name("sigma", latex), _ATOM
     if isinstance(e, PhiSymbol):
-        sub = " ".join(str(i) for i in e.indices)
-        return f"\\varphi_{{{sub}}}", _ATOM
+        if latex:
+            return "\\varphi_{" + " ".join(map(str, e.indices)) + "}", _ATOM
+        return "phi[" + ",".join(map(str, e.indices)) + "]", _ATOM
     if isinstance(e, Add):
-        parts = []
+        terms = []
         for t in e.terms:
-            text, level = _render_latex(t, names)
-            text = f"\\left({text}\\right)" if level < _ADD else text
-            if parts and text.startswith("-"):
-                parts.append(" - " + text[1:])
-            elif parts:
-                parts.append(" + " + text)
-            else:
-                parts.append(text)
-        return "".join(parts), _ADD
+            terms.append(_render(t, names, latex)[0])
+        rest = "".join(" - " + t[1:] if t.startswith("-") else " + " + t for t in terms[1:])
+        return "".join(terms[:1]) + rest, _ADD
     if isinstance(e, Mul):
-        sign = ""
-        factors = list(e.factors)
+        sign, factors = "", list(e.factors)
+        # A leading negative coefficient reads better as a sign.
         if factors and isinstance(factors[0], Num) and factors[0].value < 0:
-            sign = "-"
-            head = Num(-factors[0].value)
+            sign, head = "-", Num(-factors[0].value)
             factors = factors[1:] if head.value == 1 and len(factors) > 1 else [head] + factors[1:]
         parts = []
         for f in factors:
-            text, level = _render_latex(f, names)
-            parts.append(f"\\left({text}\\right)" if level < _MUL else text)
-        return sign + " ".join(parts), _MUL
+            text = _bound(_render(f, names, latex), _MUL, latex)
+            if parts and latex:
+                text = _wrap(text, latex) if text.startswith("-") else text
+                text = (" \\cdot " if text[0].isdigit() else " ") + text
+            parts.append(text)
+        return sign + ("" if latex else "*").join(parts), _MUL
     if isinstance(e, Pow):
-        base, level = _render_latex(e.base, names)
-        if level < _ATOM:
-            base = f"\\left({base}\\right)"
-        return f"{base}^{{{e.exponent}}}", _POW
+        exponent = e.exponent
+        exponent = f"{{{exponent}}}" if latex else f"({exponent})" if exponent < 0 else exponent
+        return f"{_bound(_render(e.base, names, latex), _ATOM, latex)}^{exponent}", _POW
     if isinstance(e, Func):
-        body = to_latex(e.arg, names)
-        if e.name == "exp":
-            return f"e^{{{body}}}", _ATOM
-        return f"\\{e.name}\\left({body}\\right)", _ATOM
+        arg = _render(e.arg, names, latex)[0]
+        if latex and e.name == "exp":
+            return f"e^{{{arg}}}", _POW  # a superscript: parenthesize its powers
+        return ("\\" if latex else "") + e.name + _wrap(arg, latex), _ATOM
     if isinstance(e, Angle):
-        return (
-            f"\\operatorname{{atan2}}\\left({to_latex(e.y, names)},"
-            f" {to_latex(e.x, names)}\\right)",
-            _ATOM,
-        )
+        args = _render(e.y, names, latex)[0] + ", " + _render(e.x, names, latex)[0]
+        return ("\\operatorname{atan2}" if latex else "atan2") + _wrap(args, latex), _ATOM
     raise TypeError(f"cannot print {e!r}")

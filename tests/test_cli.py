@@ -198,6 +198,26 @@ def test_cli_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 52  # header + 51 states
 
 
+@pytest.mark.parametrize(
+    "lagrangian, sigma, equation",
+    [
+        ("1/2*x'^2 - exp(x)", "0", "-x'' - exp(x)"),
+        ("1/2*x'^2 - x^2", "exp(x)", "-2*x + x^2*exp(x) + 1/2*x'^2*exp(x) - x''"),
+    ],
+    ids=["exp-in-lagrangian", "exp-in-sigma"],
+)
+def test_cli_accepts_exp_in_lagrangian_or_sigma(tmp_path, capsys, lagrangian, sigma, equation):
+    # The expanded residuals keep any exp that comes from L or sigma.
+    m = tmp_path / "m.model"
+    m.write_text(_mutate(lagrangian=lagrangian, sigma=sigma), encoding="utf-8")
+    assert main(["derive", str(m)]) == 0
+    assert f"[x]  {equation} = 0" in capsys.readouterr().out
+    assert main(["verify", str(m)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
+    argv = ["simulate", str(m), "--t1", "0.5", "--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+
+
 def test_cli_simulate_missing_initial_data(tmp_path, capsys):
     m = tmp_path / "m.model"
     m.write_text(_mutate(), encoding="utf-8")
@@ -230,23 +250,31 @@ def test_cli_byte_identical_reports():
 
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_CASES = [
-    (model, f"{form}.{ext}", ["derive", "--form", form, "--format", fmt])
-    for model in BUNDLED
-    for form in ("classical", "expanded", "compact")
-    for fmt, ext in (("text", "txt"), ("latex", "tex"))
-] + [(model, "verify.json", ["verify", "--seed", "42"]) for model in BUNDLED]
-
-
-@pytest.mark.parametrize(
-    "model, suffix, argv", GOLDEN_CASES, ids=[f"{m}.{s}" for m, s, _ in GOLDEN_CASES]
+FORMATS = (("text", "txt"), ("latex", "tex"))
+GOLDEN_CASES = (
+    [
+        (f"{m}.{form}.{ext}", ["derive", str(bundled_path(m)), "--form", form, "--format", fmt])
+        for m in BUNDLED
+        for form in ("classical", "expanded", "compact")
+        for fmt, ext in FORMATS
+    ]
+    + [(f"{m}.verify.json", ["verify", str(bundled_path(m)), "--seed", "42"]) for m in BUNDLED]
+    + [
+        (f"bell.s{s}.{ext}", ["bell", "--s", str(s), "--format", fmt])
+        for s in range(1, 7)
+        for fmt, ext in FORMATS
+    ]
 )
-def test_cli_output_matches_golden_files(capsys, model, suffix, argv):
-    # tests/golden/MODEL.SUFFIX holds the stdout of
-    # `lcmech COMMAND src/lcmech/models/MODEL.model FLAGS`.
-    code = main([argv[0], str(bundled_path(model)), *argv[1:]])
-    assert code == 0
-    expected = (GOLDEN / f"{model}.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
+def test_cli_output_matches_golden_files(capsys, name, argv):
+    # tests/golden/MODEL.FORM.EXT holds the stdout of
+    # `lcmech derive src/lcmech/models/MODEL.model --form FORM --format ...`,
+    # MODEL.verify.json that of `lcmech verify ... --seed 42` and
+    # bell.sS.EXT that of `lcmech bell --s S --format ...`.
+    assert main(argv) == 0
+    expected = (GOLDEN / name).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcmech import (
@@ -40,6 +40,7 @@ from lcmech import (
 )
 from lcmech.calculus import ConformalFactor
 from lcmech.evaluate import sample_value
+from lcmech.nodes import walk
 
 SPACE = JetSpace(dim=2, order=2)
 NAMES = ["x", "y"]
@@ -116,6 +117,17 @@ def test_latex_output_basic():
     e = parse_expression("-lam/2*x'*y'' + m/2*x'^2", SPACE, NAMES)
     tex = to_latex(e, NAMES)
     assert "\\dot{x}" in tex and "\\ddot{y}" in tex and "\\lambda" in tex
+
+
+def test_latex_of_unnormalized_products_typesets():
+    x, xd = Jet(1, 0), Jet(1, 1)
+    # A power of e^{x} is not a double superscript.
+    assert to_latex(Pow(exp(x), 2), NAMES) == "\\left(e^{x}\\right)^{2}"
+    # A negative factor after the first does not read as a subtraction.
+    assert to_latex(Mul((exp(x), Mul((num(-1), xd)))), NAMES) == "e^{x} \\left(-\\dot{x}\\right)"
+    # Adjacent numerals do not run together.
+    assert to_latex(Mul((num(2), num(1), xd, num(3))), NAMES) == "2 \\cdot 1 \\dot{x} \\cdot 3"
+    assert to_text(Mul((num(2), num(1), xd, num(3))), NAMES) == "2*1*x'*3"
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +397,16 @@ def test_normalize_does_not_depend_on_input_order_property(e):
         return
     assert normalize(n) == n
     assert is_zero(e - m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculus_exprs())
+def test_text_output_reparses_to_the_same_normal_form_property(e):
+    # The abstract conformal symbols have no input syntax.
+    assume(not any(isinstance(n, (SigmaSymbol, PhiSymbol)) for n in walk(e)))
+    space = JetSpace(2, 2, max_jet=6)
+    again = parse_expression(to_text(e, NAMES), space, NAMES)
+    assert _normalized_or_error(again) == _normalized_or_error(e)
 
 
 def test_zero_factor_does_not_hide_a_zero_to_a_negative_power():
