@@ -250,6 +250,8 @@ def cmd_derive(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ModelFileError(E_VALUE, f"--trials must be at least 1, not {args.trials}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ModelFileError(E_VALUE, f"--tol must be finite and non-negative, not {args.tol!r}")
     mf = load_model(args.model)
     report = run_verification(
         mf.model,

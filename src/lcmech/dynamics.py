@@ -8,6 +8,10 @@ RK4 on the first-order reduction, generated as straight-line code per state
 size.
 The module also carries the first-order Lagrangian <-> Hamiltonian bridge:
 the Legendre transform and the locally conformal Hamiltonian vector field.
+
+Trajectories stay the lists the stepper builds: the fields of ``Trajectory``
+and the results of ``integrate_hamiltonian`` are lists of floats, a state or
+a q or p being one list per time.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .calculus import ConformalFactor, partial, substitute
 from .evaluate import compile_vector, exec_source, vector_source
@@ -35,6 +37,10 @@ from .normalize import is_zero, normalize
 from .euler_lagrange import EquationSet, LagrangianModel
 
 DET_THRESHOLD = 1e-12
+# The Newton solve of ImplicitLegendre stops once max |dL/dv - p| is below
+# NEWTON_TOL, and fails after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 class ReductionError(ExprError):
@@ -244,16 +250,17 @@ def _symbolic_det(m: list[list[Expr]]) -> Expr:
 class Trajectory:
     """Uniform-grid time series of jet states with residual diagnostics."""
 
-    times: np.ndarray
-    states: np.ndarray  # shape (T, dim * top_order)
+    times: list[float]
+    states: list[list[float]]  # one state of dim * top_order floats per time
     dim: int
     top_order: int
-    residuals: np.ndarray  # per-time max |residual|
+    residuals: list[float]  # per-time max |residual|
     det_min: float
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals))
+        # A nan residual makes the maximum nan, wherever it is.
+        return math.nan if any(map(math.isnan, self.residuals)) else max(self.residuals)
 
     def column_names(self) -> list[str]:
         names = ["t"]
@@ -264,8 +271,11 @@ class Trajectory:
         return names
 
     def write_csv(self, path):
-        table = np.column_stack((self.times, self.states, self.residuals)).tolist()
-        rows = [",".join(self.column_names()), *[",".join(map(repr, row)) for row in table]]
+        rows = [",".join(self.column_names())]
+        rows += [
+            ",".join(map(repr, (t, *state, res)))
+            for t, state, res in zip(self.times, self.states, self.residuals)
+        ]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
 
@@ -348,14 +358,14 @@ def integrate(
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    y = np.asarray(init, dtype=float)
-    if y.shape != (ode.state_size,):
+    if len(init) != ode.state_size:
         raise ValueError(
             f"initial state must have {ode.state_size} entries "
             f"({ode.dim} coordinates x jets of order < {ode.top_order})"
         )
     steps = int(round((t1 - t0) / dt))
-    times, states = _stepper(ode.state_size)(ode.field, y.tolist(), t0, dt, steps)
+    y = [float(v) for v in init]
+    times, states = _stepper(ode.state_size)(ode.field, y, float(t0), float(dt), steps)
     residuals = [0.0] * len(times)
     det_min = math.inf
     samples = list(range(0, len(times), residual_stride))
@@ -367,14 +377,7 @@ def integrate(
         except (SingularDynamicsError, ArithmeticError) as err:
             raise _failed_at(err, times[idx]) from err
         det_min = min(det_min, abs(det))
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        dim=ode.dim,
-        top_order=ode.top_order,
-        residuals=np.array(residuals),
-        det_min=det_min,
-    )
+    return Trajectory(times, states, ode.dim, ode.top_order, residuals, det_min)
 
 
 class DegenerateLegendreError(ExprError):
@@ -457,13 +460,11 @@ class ImplicitLegendre:
     relations dH/dp = v and dH/dq = -dL/dq at the recovered velocity.
     """
 
-    def __init__(self, model: LagrangianModel, tol: float = 1e-12, max_iter: int = 50):
+    def __init__(self, model: LagrangianModel):
         if model.space.order != 1:
             raise ExprError("first-order models only")
         self.model = model
         self.dim = model.space.dim
-        self.tol = tol
-        self.max_iter = max_iter
         r = self.dim
         L = model.lagrangian
         grad_v = [partial(L, i, 1) for i in range(1, r + 1)]
@@ -485,10 +486,10 @@ class ImplicitLegendre:
         target = [float(x) for x in p]
         v = [float(x) for x in (guess if guess is not None else p)]
         n = self.dim * self.dim
-        for _ in range(self.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             s = self._newton_input(q, v, target)
             base = max(map(abs, s[n:]))
-            if base < self.tol:
+            if base < NEWTON_TOL:
                 return v
             try:
                 step, _ = self._solve(s)
@@ -544,24 +545,25 @@ def conformal_hamilton_field(ham: HamiltonianModel):
     return field
 
 
-def conformal_source_matrix(ham: HamiltonianModel, q, p) -> np.ndarray:
-    """The antisymmetric momentum twist A_ij = phi_i p_j - phi_j p_i at a point."""
+def conformal_source_matrix(ham: HamiltonianModel, q, p) -> list[list[float]]:
+    """The antisymmetric momentum twist A_ij = phi_i p_j - phi_j p_i at a point,
+    as a list of rows."""
     r = ham.dim
     phi_exprs = [ham.sigma.phi((i,)) for i in range(1, r + 1)]
-    phi = np.array(compile_vector(phi_exprs, _slots(r, 0), ham.params)([*map(float, q)]))
-    pvec = np.asarray(p, dtype=float)
-    return np.outer(phi, pvec) - np.outer(pvec, phi)
+    phi = compile_vector(phi_exprs, _slots(r, 0), ham.params)([*map(float, q)])
+    p = [*map(float, p)]
+    return [[fi * pj - pi * fj for fj, pj in zip(phi, p)] for fi, pi in zip(phi, p)]
 
 
 def integrate_hamiltonian(ham: HamiltonianModel, q0, p0, t0, t1, dt):
-    """RK4 on the conformal Hamiltonian field; returns (times, qs, ps)."""
+    """RK4 on the conformal Hamiltonian field; returns (times, qs, ps), the
+    grid times and one list of r floats per time for q and for p."""
     r = ham.dim
     z = [*map(float, q0), *map(float, p0)]
     steps = int(round((t1 - t0) / dt))
     vector_field = conformal_hamilton_field(ham)
-    times, states = _stepper(2 * r)(lambda *s: vector_field(s), z, t0, dt, steps)
-    zs = np.array(states)
-    return np.array(times), zs[:, :r], zs[:, r:]
+    times, states = _stepper(2 * r)(lambda *s: vector_field(s), z, float(t0), float(dt), steps)
+    return times, [s[:r] for s in states], [s[r:] for s in states]
 
 
 def lagrangian_hamiltonian_crosscheck(
@@ -582,5 +584,4 @@ def lagrangian_hamiltonian_crosscheck(
     momenta = [partial(model.lagrangian, i, 1) for i in range(1, r + 1)]
     p0 = compile_vector(momenta, _slots(r, 1), model.parameters)([*map(float, init)])
     _, qs, _ = integrate_hamiltonian(ham, init[:r], p0, t0, t1, dt)
-    q_el = traj.states[:, :r]
-    return float(np.max(np.abs(q_el - qs)))
+    return max(abs(a - b) for y, q in zip(traj.states, qs) for a, b in zip(y[:r], q))

@@ -29,9 +29,10 @@ from .nodes import (
 )
 from .normalize import normalize
 
-CLASSICAL = "classical"
-CONFORMAL_EXPANDED = "lc-expanded"
-CONFORMAL_COMPACT = "lc-compact"
+# Points of the Simpson grid of the variational check, an odd count as
+# Simpson's rule needs, and the step h of its central difference.
+FD_GRID = 1001
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,12 @@ class LagrangianModel:
                 )
         self.sigma.validate(self.space)
 
-    @property
-    def names(self) -> list[str] | None:
-        return list(self.coordinate_names) or None
-
 
 @dataclass(frozen=True)
 class EquationSet:
-    """One residual per base coordinate, plus provenance metadata."""
+    """One residual per base coordinate."""
 
     residuals: tuple[Expr, ...]
-    form: str
-    order: int
 
     @property
     def dim(self) -> int:
@@ -85,10 +80,10 @@ def classical_el(model: LagrangianModel) -> EquationSet:
             sign = Num(Fraction((-1) ** s))
             terms.append(mul(sign, total_derivative(partial(L, i, s), space, s)))
         residuals.append(normalize(add(*terms)))
-    return EquationSet(tuple(residuals), CLASSICAL, space.order)
+    return EquationSet(tuple(residuals))
 
 
-def conformal_rhs(model: LagrangianModel, normalized: bool = True) -> tuple[Expr, ...]:
+def conformal_rhs(model: LagrangianModel) -> tuple[Expr, ...]:
     """The conformal source terms deforming the classical operator:
 
     phi_i L + sum_{s=1}^{n} (-1)^{s+1} sum_{a=0}^{s-1} C(s,a) F_{s-a} D_t^a dL/dq^i_(s)
@@ -106,8 +101,7 @@ def conformal_rhs(model: LagrangianModel, normalized: bool = True) -> tuple[Expr
                 coeff = Num(Fraction(math.comb(s, a)))
                 inner = total_derivative(partial(L, i, s), space, a)
                 terms.append(mul(sign, coeff, factors[s - a], inner))
-        rhs = add(*terms)
-        out.append(normalize(rhs) if normalized else rhs)
+        out.append(normalize(add(*terms)))
     return tuple(out)
 
 
@@ -122,7 +116,7 @@ def conformal_el_expanded(model: LagrangianModel) -> EquationSet:
     residuals = tuple(
         normalize(c - s) for c, s in zip(classical.residuals, sources)
     )
-    return EquationSet(residuals, CONFORMAL_EXPANDED, model.space.order)
+    return EquationSet(residuals)
 
 
 def conformal_el_compact(model: LagrangianModel) -> EquationSet:
@@ -140,66 +134,44 @@ def conformal_el_compact(model: LagrangianModel) -> EquationSet:
             terms.append(mul(sign, total_derivative(weight * partial(L, i, s), space, s)))
         terms.append(mul(Num(Fraction(-1)), weight, sigma.phi((i,)), L))
         residuals.append(add(*terms))
-    return EquationSet(tuple(residuals), CONFORMAL_COMPACT, space.order)
+    return EquationSet(tuple(residuals))
 
 
 class JetCurve:
     """A smooth curve t -> q(t) with analytic derivatives of every needed order.
 
-    ``component_jets[i][k]`` is a callable giving d^k q^i / dt^k.  Curves
-    form a vector space, which is what the finite-difference variational
-    check needs.
+    ``component_jets[i][k]`` is a callable giving d^k q^(i+1) / dt^k; the
+    derivatives past the last callable are zero.
     """
 
     def __init__(self, component_jets):
         self.component_jets = component_jets
-        self.dim = len(component_jets)
-
-    def jet(self, t: float, index: int, order: int) -> float:
-        derivs = self.component_jets[index - 1]
-        if order >= len(derivs):
-            return 0.0
-        return derivs[order](t)
 
     def point(self, t: float, max_order: int) -> dict[tuple[int, int], float]:
         return {
-            (i, s): self.jet(t, i, s)
-            for i in range(1, self.dim + 1)
+            (i, s): derivs[s](t) if s < len(derivs) else 0.0
+            for i, derivs in enumerate(self.component_jets, start=1)
             for s in range(max_order + 1)
         }
 
-    def __add__(self, other: "JetCurve") -> "JetCurve":
-        assert self.dim == other.dim
-        combined = []
-        for a, b in zip(self.component_jets, other.component_jets):
-            n = max(len(a), len(b))
-            comps = []
-            for k in range(n):
-                fa = a[k] if k < len(a) else (lambda t: 0.0)
-                fb = b[k] if k < len(b) else (lambda t: 0.0)
-                comps.append(lambda t, fa=fa, fb=fb: fa(t) + fb(t))
-            combined.append(comps)
-        return JetCurve(combined)
 
-    def scaled(self, c: float) -> "JetCurve":
-        return JetCurve(
-            [[(lambda t, f=f, c=c: c * f(t)) for f in comp] for comp in self.component_jets]
-        )
+def _horner(coeffs: list[float], t: float) -> float:
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
 
 
 def polynomial_curve(coefficient_rows, max_order: int) -> JetCurve:
     """Curve whose i-th component is the polynomial with the given coefficients
     (ascending powers of t); derivatives are taken exactly."""
-    import numpy.polynomial.polynomial as npoly
-    import numpy as np
-
     components = []
-    for coeffs in coefficient_rows:
-        c = np.asarray(coeffs, dtype=float)
+    for row in coefficient_rows:
+        coeffs = [float(c) for c in row]
         derivs = []
-        for k in range(max_order + 1):
-            ck = npoly.polyder(c, k) if k else c
-            derivs.append(lambda t, ck=ck: float(npoly.polyval(t, ck)))
+        for _ in range(max_order + 1):
+            derivs.append(lambda t, coeffs=coeffs: _horner(coeffs, t))
+            coeffs = [k * c for k, c in enumerate(coeffs)][1:]
         components.append(derivs)
     return JetCurve(components)
 
@@ -232,19 +204,19 @@ def circle_curve(center, radius: float, omega: float, max_order: int) -> JetCurv
 def bump_curve(t0: float, t1: float, vanish_order: int, dim: int, max_order: int) -> JetCurve:
     """Perturbation ((t-t0)(t1-t))^vanish_order per component: vanishes with
     derivatives up to vanish_order - 1 at both endpoints."""
-    import numpy.polynomial.polynomial as npoly
-    import numpy as np
-
-    base = np.array([-t0, 1.0])  # t - t0
-    other = np.array([t1, -1.0])  # t1 - t
-    poly = npoly.polypow(npoly.polymul(base, other), vanish_order)
+    # (t - t0)(t1 - t) = -t0 t1 + (t0 + t1) t - t^2, multiplied in repeatedly.
+    factor = (-t0 * t1, t0 + t1, -1.0)
+    poly = [1.0]
+    for _ in range(vanish_order):
+        out = [0.0] * (len(poly) + 2)
+        for k, c in enumerate(poly):
+            for j, f in enumerate(factor):
+                out[k + j] += c * f
+        poly = out
     return polynomial_curve([poly] * dim, max_order)
 
 
 def _simpson(values, h: float) -> float:
-    n = len(values) - 1
-    if n % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even interval count")
     total = values[0] + values[-1]
     total += 4.0 * sum(values[1:-1:2])
     total += 2.0 * sum(values[2:-1:2])
@@ -257,8 +229,6 @@ def variational_fd_check(
     perturbation: JetCurve,
     t0: float,
     t1: float,
-    grid: int = 1001,
-    h: float = 1e-3,
 ) -> float:
     """Finite-difference validation of the integration-by-parts chain.
 
@@ -269,32 +239,32 @@ def variational_fd_check(
     """
     if model.sigma.is_abstract:
         raise ExprError("the variational check needs a concrete conformal factor")
-    if grid % 2 == 0:
-        grid += 1
     space = model.space
     weight_l = exp(-model.sigma.expr()) * model.lagrangian
     f_action = compile_expr(weight_l)
     residuals = conformal_el_compact(model)
     f_res = [compile_expr(r) for r in residuals.residuals]
     need = max(space.order, residuals.max_jet_order(), 2 * space.order)
-    ts = [t0 + (t1 - t0) * k / (grid - 1) for k in range(grid)]
-    step = (t1 - t0) / (grid - 1)
+    ts = [t0 + (t1 - t0) * k / (FD_GRID - 1) for k in range(FD_GRID)]
+    step = (t1 - t0) / (FD_GRID - 1)
     params = model.parameters
 
-    def action(c: JetCurve) -> float:
-        vals = [f_action(c.point(t, space.order), params) for t in ts]
+    def action(h: float) -> float:
+        """S[curve + h * perturbation]."""
+        vals = []
+        for t in ts:
+            c, d = curve.point(t, space.order), perturbation.point(t, space.order)
+            vals.append(f_action({key: c[key] + h * d[key] for key in c}, params))
         return _simpson(vals, step)
 
-    plus = curve + perturbation.scaled(h)
-    minus = curve + perturbation.scaled(-h)
-    lhs = (action(plus) - action(minus)) / (2.0 * h)
+    lhs = (action(FD_STEP) - action(-FD_STEP)) / (2.0 * FD_STEP)
 
     pair_vals = []
     for t in ts:
-        point = curve.point(t, need)
+        point, d = curve.point(t, need), perturbation.point(t, 0)
         total = 0.0
         for i in range(1, space.dim + 1):
-            total += f_res[i - 1](point, params) * perturbation.jet(t, i, 0)
+            total += f_res[i - 1](point, params) * d[(i, 0)]
         pair_vals.append(total)
     rhs = _simpson(pair_vals, step)
     return abs(lhs - rhs)

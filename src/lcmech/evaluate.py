@@ -279,12 +279,15 @@ def free_symbols(*exprs: Expr):
     return jets, names
 
 
-DEFAULT_DOMAIN = (0.1, 2.0)
+# Sampled magnitudes lie in [lo, hi]; ``equivalent`` gives up after
+# MAX_RESAMPLES points that fail to evaluate or give non-finite values.
+SAMPLE_DOMAIN = (0.1, 2.0)
+MAX_RESAMPLES = 100
 
 
-def sample_value(rng: random.Random, domain=DEFAULT_DOMAIN) -> float:
+def sample_value(rng: random.Random) -> float:
     """Uniform draw from [-hi,-lo] U [lo,hi], avoiding singular loci near 0."""
-    lo, hi = domain
+    lo, hi = SAMPLE_DOMAIN
     magnitude = rng.uniform(lo, hi)
     return magnitude if rng.random() < 0.5 else -magnitude
 
@@ -305,10 +308,8 @@ def equivalent(
     e2: Expr,
     trials: int = 20,
     tol: float = 1e-9,
-    domain=DEFAULT_DOMAIN,
     params: dict[str, float] | None = None,
     rng: random.Random | None = None,
-    max_resamples: int = 100,
 ) -> EquivalenceResult:
     """Probabilistic equality check at ``trials`` random points.
 
@@ -327,18 +328,18 @@ def equivalent(
     resamples = 0
     last_error = None
     while done < trials:
-        point = {key: sample_value(rng, domain) for key in jets}
+        point = {key: sample_value(rng) for key in jets}
         bound = dict(params)
         for name in names:
             if name not in bound:
-                bound[name] = sample_value(rng, domain)
+                bound[name] = sample_value(rng)
         try:
             v1 = f1(point, bound)
             v2 = f2(point, bound)
         except (ArithmeticError, ValueError, KeyError) as err:
             resamples += 1
             last_error = err
-            if resamples > max_resamples:
+            if resamples > MAX_RESAMPLES:
                 return EquivalenceResult(
                     False,
                     done,
@@ -347,7 +348,7 @@ def equivalent(
             continue
         if not (math.isfinite(v1) and math.isfinite(v2)):
             resamples += 1
-            if resamples > max_resamples:
+            if resamples > MAX_RESAMPLES:
                 return EquivalenceResult(False, done, message="non-finite values")
             continue
         if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .calculus import ConformalFactor
 from .combinatorics import MAX_DERIVATIVE_ORDER
-from .nodes import JetSpace, jets_in
+from .nodes import Jet, JetSpace, jets_in
 from .parser import ParseError, parse_expression
 from .euler_lagrange import LagrangianModel
 
@@ -215,15 +215,14 @@ def load_model(path) -> ModelFile:
 
 
 def jet_key(label: str, coordinates: list[str], max_jet: int) -> tuple[int, int]:
-    """Resolve an initial-value label like x'' to an (index, order) pair."""
-    base = label.rstrip("'")
-    order = len(label) - len(base)
-    if "(" in base and base.endswith(")"):
-        name, rest = base.split("(", 1)
-        base = name
-        order = int(rest[:-1])
-    if base not in coordinates:
-        raise ModelFileError(E_VALUE, f"unknown coordinate in initial data: {label!r}")
-    if order > max_jet:
-        raise ModelFileError(E_VALUE, f"initial derivative order too high: {label!r}")
-    return coordinates.index(base) + 1, order
+    """Resolve an initial-value label like x'' or x(4) to an (index, order)
+    pair: the label must parse, in the expression grammar, to one jet of a
+    coordinate of order at most max_jet."""
+    space = JetSpace(len(coordinates), 1, max_jet)
+    try:
+        jet = parse_expression(label, space, coordinates)
+    except ParseError as err:
+        raise ModelFileError(E_VALUE, f"bad initial data label {label!r}: {err}")
+    if not isinstance(jet, Jet):
+        raise ModelFileError(E_VALUE, f"initial data label {label!r} is not a coordinate jet")
+    return jet.index, jet.order

@@ -468,7 +468,7 @@ def test_criterion_08_dynamics(report):
         errs = []
         for dt in (0.02, 0.01):
             traj = integrate(ode, [1.0, 0.0], 0.0, 1.0, dt)
-            errs.append(abs(traj.states[-1, 0] - math.cos(1.0)))
+            errs.append(abs(traj.states[-1][0] - math.cos(1.0)))
         ratio = errs[0] / errs[1]
         assert 12.0 <= ratio <= 20.0, ratio
 

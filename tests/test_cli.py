@@ -251,6 +251,20 @@ def test_cli_byte_identical_reports():
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = (("text", "txt"), ("latex", "tex"))
+
+
+def _simulate_argv(model):
+    """`simulate` of a bundled model writing MODEL.simulate.csv, a path
+    relative to the working directory so that stdout names it the same way
+    wherever the test runs."""
+    csv = f"{model}.simulate.csv"
+    return ["simulate", str(bundled_path(model)), "--t1", "0.5", "--dt", "0.01", "--output", csv]
+
+
+def _assert_golden_csv(directory, argv):
+    csv = argv[-1]
+    assert (directory / csv).read_bytes() == (GOLDEN / csv).read_bytes(), csv
+
 GOLDEN_CASES = (
     [
         (f"{m}.{form}.{ext}", ["derive", str(bundled_path(m)), "--form", form, "--format", fmt])
@@ -264,18 +278,48 @@ GOLDEN_CASES = (
         for s in range(1, 7)
         for fmt, ext in FORMATS
     ]
+    + [(f"{m}.simulate.txt", _simulate_argv(m)) for m in BUNDLED]
 )
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_cli_output_matches_golden_files(capsys, name, argv):
+def test_cli_output_matches_golden_files(capsys, monkeypatch, tmp_path, name, argv):
     # tests/golden/MODEL.FORM.EXT holds the stdout of
     # `lcmech derive src/lcmech/models/MODEL.model --form FORM --format ...`,
-    # MODEL.verify.json that of `lcmech verify ... --seed 42` and
-    # bell.sS.EXT that of `lcmech bell --s S --format ...`.
+    # MODEL.verify.json that of `lcmech verify ... --seed 42`,
+    # bell.sS.EXT that of `lcmech bell --s S --format ...`, and
+    # MODEL.simulate.txt and MODEL.simulate.csv the stdout and the CSV of
+    # `lcmech simulate ... --t1 0.5 --dt 0.01 --output MODEL.simulate.csv`,
+    # run in the directory that receives the CSV.
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     expected = (GOLDEN / name).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
+    if argv[0] == "simulate":
+        _assert_golden_csv(tmp_path, argv)
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # lcmech needs nothing outside the standard library: with numpy made
+    # unimportable, derive, verify and simulate still match the goldens.
+    import lcmech
+
+    script = "import sys; sys.modules['numpy'] = None; from lcmech.cli import main; sys.exit(main())"
+    path = [str(Path(lcmech.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    model = str(bundled_path("chiral_lc"))
+    cases = [
+        ("chiral_lc.expanded.txt", ["derive", model]),
+        ("chiral_lc.verify.json", ["verify", model, "--seed", "42"]),
+        ("chiral_lc.simulate.txt", _simulate_argv("chiral_lc")),
+    ]
+    for name, argv in cases:
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (GOLDEN / name).read_bytes(), name
+    _assert_golden_csv(tmp_path, cases[-1][1])
 
 
 @pytest.mark.parametrize(
@@ -290,6 +334,13 @@ def test_cli_output_matches_golden_files(capsys, name, argv):
         ["--t1", "0.0015", "--dt", "0.001"],
         ["--initial", "x1"],
         ["--initial", "x: abc"],
+        # Labels follow the expression grammar: x(k) with a whole k, or quotes.
+        ["--initial", "x(a): 1"],
+        ["--initial", "x(): 1"],
+        ["--initial", "x(-1): 5"],
+        ["--initial", "x: 2, x(-2): 9"],
+        ["--initial", "x(1)': 7"],
+        ["--initial", "x'''': 1"],
     ],
 )
 def test_cli_simulate_rejects_bad_span_and_initial_data(tmp_path, capsys, flags):
@@ -369,6 +420,14 @@ def _assert_value_error(capsys):
 
 def test_cli_verify_rejects_zero_trials(capsys):
     assert main(["verify", str(bundled_path("free_particle")), "--trials", "0"]) == 2
+    _assert_value_error(capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_verify_rejects_bad_tolerance(capsys, tol):
+    # A nan or inf tolerance would pass the negative control.
+    argv = ["verify", str(bundled_path("chiral_lc")), "--seed", "42", "--inject-fault"]
+    assert main([*argv, "--tol", tol]) == 2
     _assert_value_error(capsys)
 
 

@@ -33,7 +33,7 @@ from lcmech import (
     to_explicit_ode,
 )
 from lcmech.calculus import ConformalFactor, zero_factor
-from lcmech.dynamics import conformal_source_matrix
+from lcmech.dynamics import Trajectory, conformal_source_matrix
 from lcmech.nodes import jets_in
 from lcmech.models import BUNDLED, bundled_path
 
@@ -104,7 +104,8 @@ def test_rk4_energy_conservation_harmonic():
     m = _model(1, 1, "1/2*x'^2 - 1/2*x^2", ["x"])
     ode = to_explicit_ode(conformal_el_expanded(m), m)
     traj = integrate(ode, [1.0, 0.0], 0.0, 2 * math.pi, 1e-3)
-    energy = 0.5 * traj.states[:, 1] ** 2 + 0.5 * traj.states[:, 0] ** 2
+    states = np.array(traj.states)
+    energy = 0.5 * states[:, 1] ** 2 + 0.5 * states[:, 0] ** 2
     assert np.max(np.abs(energy - energy[0])) <= 1e-8
 
 
@@ -115,7 +116,7 @@ def test_rk4_step_halving_ratio_is_fourth_order():
     errs = []
     for dt in (0.02, 0.01):
         traj = integrate(ode, [1.0, 0.0], 0.0, 1.0, dt)
-        errs.append(abs(traj.states[-1, 0] - exact))
+        errs.append(abs(traj.states[-1][0] - exact))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0, ratio
 
@@ -126,6 +127,12 @@ def test_trajectory_residual_consistency():
     traj = integrate(ode, [0.5, 0.0], 0.0, 1.0, 1e-3)
     assert traj.max_residual <= 1e-9
     assert traj.det_min >= 1e-12
+
+
+def test_trajectory_max_residual_is_nan_when_any_residual_is():
+    for residuals in ([float("nan"), 1.0, 0.0], [0.0, 1.0, float("nan")]):
+        traj = Trajectory([0.0, 0.1, 0.2], [[0.0]] * 3, 1, 1, residuals, 1.0)
+        assert f"{traj.max_residual:.3e}" == "nan"
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -141,7 +148,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     row = lines[3].split(",")
     # repr floats round-trip exactly
     assert float(row[0]) == traj.times[2]
-    assert float(row[1]) == traj.states[2, 0]
+    assert float(row[1]) == traj.states[2][0]
 
 
 def test_singular_mass_matrix_raises():
@@ -227,7 +234,7 @@ def test_conformal_field_matches_hand_expansion():
 def test_conformal_source_matrix_antisymmetric():
     m = _model(2, 1, "1/2*(x'^2 + y'^2)", ["x", "y"], sigma_text="x*y")
     ham = legendre_first_order(m)
-    a = conformal_source_matrix(ham, [0.7, -0.3], [0.2, 1.4])
+    a = np.array(conformal_source_matrix(ham, [0.7, -0.3], [0.2, 1.4]))
     assert np.allclose(a, -a.T)
 
 
@@ -235,8 +242,8 @@ def test_trivial_sigma_hamiltonian_flow_is_classical():
     m = _model(1, 1, "1/2*x'^2 - 1/2*x^2", ["x"])
     ham = legendre_first_order(m)
     _, qs, ps = integrate_hamiltonian(ham, [1.0], [0.0], 0.0, 1.0, 1e-3)
-    assert abs(qs[-1, 0] - math.cos(1.0)) <= 1e-8
-    assert abs(ps[-1, 0] + math.sin(1.0)) <= 1e-8
+    assert abs(qs[-1][0] - math.cos(1.0)) <= 1e-8
+    assert abs(ps[-1][0] + math.sin(1.0)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def test_crosscheck_conformal_dynamics_differ_from_classical():
     ode = to_explicit_ode(conformal_el_expanded(m_conf), m_conf)
     traj = integrate(ode, [0.3, -0.2, 0.7, -0.2], 0.0, 1.0, 1e-3)
     free_end = np.array([0.3 + 0.7, -0.2 - 0.2])
-    assert np.max(np.abs(traj.states[-1, :2] - free_end)) > 1e-3
+    assert np.max(np.abs(np.array(traj.states[-1][:2]) - free_end)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +337,9 @@ def test_integrate_matches_numpy_rk4_reference():
         dt = 1e-3
         want = _reference_rk4(rhs, starts[name], dt, 200)
         traj = integrate(ode, starts[name], 0.0, 200 * dt, dt)
-        assert traj.states.shape == want.shape
-        for got_col, want_col in zip(traj.states.T, want.T):
+        states = np.array(traj.states)
+        assert states.shape == want.shape
+        for got_col, want_col in zip(states.T, want.T):
             _assert_rel(got_col, want_col)
 
 
@@ -363,7 +371,7 @@ def test_integrate_hamiltonian_matches_numpy_loop():
     times, got_q, got_p = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
     assert len(times) == steps + 1
     for got, want in ((got_q, ref[:, :2]), (got_p, ref[:, 2:])):
-        for got_col, want_col in zip(got.T, want.T):
+        for got_col, want_col in zip(np.array(got).T, want.T):
             _assert_rel(got_col, want_col)
 
 
@@ -396,8 +404,8 @@ def test_integrate_is_bit_identical_to_list_stepper_on_bundled_models():
         dt = 1e-3
         want_t, want_y = _list_rk4(ode.rhs, y0, 0.25, dt, 200)
         traj = integrate(ode, y0, 0.25, 0.25 + 200 * dt, dt)
-        assert traj.times.tolist() == want_t, name
-        assert traj.states.tolist() == want_y, name
+        assert traj.times == want_t, name
+        assert traj.states == want_y, name
 
 
 def test_fused_field_is_rhs_on_bundled_models():
@@ -417,7 +425,7 @@ def test_integrate_hamiltonian_is_bit_identical_to_list_stepper():
     z0 = [0.8, -0.3, 0.1, 0.6]
     want_t, want_z = _list_rk4(conformal_hamilton_field(ham), z0, 0.0, dt, steps)
     times, qs, ps = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
-    assert times.tolist() == want_t
+    assert times == want_t
     assert np.hstack([qs, ps]).tolist() == want_z
 
 
