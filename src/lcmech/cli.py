@@ -42,7 +42,7 @@ from .euler_lagrange import (
     conformal_rhs,
 )
 from .evaluate import equivalent
-from .modelfile import E_VALUE, ModelFileError, jet_key, load_model, parse_initial
+from .modelfile import E_VALUE, ModelFileError, initial_jets, load_model, parse_initial
 from .nodes import ExprError, JetSpace, exp, mul
 from .normalize import is_zero, normalize
 from .printing import jet_mark, rational, to_latex, to_text
@@ -172,12 +172,6 @@ def run_verification(
     }
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    sub.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
-    sub.add_argument("--trials", type=int, default=20, help="random points per check")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcmech",
@@ -193,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="expanded",
     )
     p.add_argument("--format", choices=("text", "latex"), default="text")
-    _add_common(p)
 
     p = sub.add_parser("verify", help="run randomized symbolic cross-checks")
     p.add_argument("model")
@@ -202,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="flip a sign in the expanded equations (negative control)",
     )
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+    p.add_argument("--trials", type=int, default=20, help="random points per check")
 
     p = sub.add_parser("simulate", help="integrate a trajectory and write CSV")
     p.add_argument("model")
@@ -214,13 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated overrides, e.g. \"x: 1, x': 0\"",
     )
     p.add_argument("--output", help="CSV output path")
-    _add_common(p)
 
     p = sub.add_parser("bell", help="display the combinatorial building blocks")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--format", choices=("text", "latex"), default="text")
-    _add_common(p)
 
     return parser
 
@@ -287,16 +280,16 @@ def cmd_simulate(args) -> int:
         raise ModelFileError(
             E_VALUE, f"t1 - t0 = {t1 - t0!r} is not a whole number of steps dt = {dt!r}"
         )
-    initial = dict(sim.initial) if sim else {}
+    max_jet = model.space.max_jet
+    initial = initial_jets(sim.initial, mf.coordinates, max_jet) if sim else {}
     if args.initial:
-        initial.update(parse_initial(args.initial))
+        initial.update(initial_jets(parse_initial(args.initial), mf.coordinates, max_jet))
     eqs = conformal_el_expanded(model)
     ode = to_explicit_ode(eqs, model)
     r, k = ode.dim, ode.top_order
     state = [0.0] * (r * k)
     seen = set()
-    for label, value in initial.items():
-        i, s = jet_key(label, mf.coordinates, model.space.max_jet)
+    for (i, s), value in initial.items():
         if s < k:
             state[(i - 1) + r * s] = value
             seen.add((i, s))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .calculus import ConformalFactor, partial, total_derivative
 from .combinatorics import exp_derivative_factor
-from .evaluate import compile_expr
+from .evaluate import compile_vector
 from .nodes import (
     Expr,
     ExprError,
@@ -240,31 +240,32 @@ def variational_fd_check(
     if model.sigma.is_abstract:
         raise ExprError("the variational check needs a concrete conformal factor")
     space = model.space
-    weight_l = exp(-model.sigma.expr()) * model.lagrangian
-    f_action = compile_expr(weight_l)
     residuals = conformal_el_compact(model)
-    f_res = [compile_expr(r) for r in residuals.residuals]
     need = max(space.order, residuals.max_jet_order(), 2 * space.order)
+    # Both functions read the values of curve.point(t, need), in its order.
+    slots = {key: k for k, key in enumerate(curve.point(t0, need))}
+    weight_l = exp(-model.sigma.expr()) * model.lagrangian
+    f_action = compile_vector([weight_l], slots, model.parameters)
+    f_res = compile_vector(residuals.residuals, slots, model.parameters)
     ts = [t0 + (t1 - t0) * k / (FD_GRID - 1) for k in range(FD_GRID)]
     step = (t1 - t0) / (FD_GRID - 1)
-    params = model.parameters
 
     def action(h: float) -> float:
         """S[curve + h * perturbation]."""
         vals = []
         for t in ts:
-            c, d = curve.point(t, space.order), perturbation.point(t, space.order)
-            vals.append(f_action({key: c[key] + h * d[key] for key in c}, params))
+            c, d = curve.point(t, need), perturbation.point(t, need)
+            vals.append(f_action([c[key] + h * d[key] for key in c])[0])
         return _simpson(vals, step)
 
     lhs = (action(FD_STEP) - action(-FD_STEP)) / (2.0 * FD_STEP)
 
     pair_vals = []
     for t in ts:
-        point, d = curve.point(t, need), perturbation.point(t, 0)
+        values, d = f_res(list(curve.point(t, need).values())), perturbation.point(t, 0)
         total = 0.0
         for i in range(1, space.dim + 1):
-            total += f_res[i - 1](point, params) * d[(i, 0)]
+            total += values[i - 1] * d[(i, 0)]
         pair_vals.append(total)
     rhs = _simpson(pair_vals, step)
     return abs(lhs - rhs)

@@ -2,16 +2,15 @@
 
 ``evaluate`` is a straightforward recursive interpreter (exact rational
 subtrees are folded with Fractions before float conversion), kept as the
-reference the compiled paths are tested against.  ``vector_source`` writes
-several expressions of a flat state as straight-line Python with shared
-subtrees computed once; ``compile_vector`` wraps that source into one
-function of the state list, and the explicit ODE fuses it with its linear
-solve into one function of the state as scalars.
-``compile_expr`` turns one expression into a plain Python lambda on a point
-dict, for ``equivalent`` and the variational check.  ``equivalent`` decides
-equality of two expressions by evaluating both at random points, in the style
-of polynomial identity testing; it is the single oracle used for all symbolic
-identities in this package.
+reference the compiled path is tested against.  ``vector_source`` is the one
+generator of float code: several expressions of a flat vector (jets, and any
+symbol given a slot) as straight-line Python with each shared subtree
+computed once.  ``compile_vector`` wraps it into one function of the vector,
+for ``equivalent``, the variational check and the explicit ODE, which fuses
+it with its linear solve; ``compile_expr`` adapts it to a point dict.
+``equivalent`` decides equality of two expressions by evaluating both at
+random points, in the style of polynomial identity testing; it is the single
+oracle used for all symbolic identities in this package.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .nodes import (
     PhiSymbol,
     Pow,
     SigmaSymbol,
+    walk,
 )
 
 
@@ -93,8 +93,13 @@ def evaluate(e: Expr, point: dict[tuple[int, int], float], params: dict[str, flo
     return float(value)
 
 
-def _symbol_name(e: Expr) -> str:
-    """The params key of a Param, PhiSymbol or SigmaSymbol."""
+_LEAVES = (Jet, Param, PhiSymbol, SigmaSymbol)
+
+
+def _leaf_key(e: Expr):
+    """The key of a jet or symbol: (index, order) for a jet, else its params name."""
+    if isinstance(e, Jet):
+        return (e.index, e.order)
     if isinstance(e, Param):
         return e.name
     if isinstance(e, PhiSymbol):
@@ -102,15 +107,11 @@ def _symbol_name(e: Expr) -> str:
     return SIGMA_EVAL_NAME
 
 
-_SYMBOLS = (Param, PhiSymbol, SigmaSymbol)
-
-
-def _codegen(e: Expr, leaf=None, named=None) -> str:
+def _codegen(e: Expr, leaf, named=None) -> str:
     """Python source for ``e``.
 
-    Jets read ``J[(index, order)]`` and symbols ``P[name]``, unless
-    ``leaf(node)`` renders them.  ``named(node)`` may return the name of a
-    local variable that already holds the node's value.
+    ``leaf(node)`` renders jets and symbols.  ``named(node)`` may return the
+    name of a local variable that already holds the node's value.
     """
     if named is not None:
         name = named(e)
@@ -120,10 +121,8 @@ def _codegen(e: Expr, leaf=None, named=None) -> str:
         if e.value.denominator == 1:
             return repr(e.value.numerator)
         return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Jet):
-        return f"J[({e.index},{e.order})]" if leaf is None else leaf(e)
-    if isinstance(e, _SYMBOLS):
-        return f"P[{_symbol_name(e)!r}]" if leaf is None else leaf(e)
+    if isinstance(e, _LEAVES):
+        return leaf(e)
     if isinstance(e, Add):
         return "(" + "+".join(_codegen(t, leaf, named) for t in e.terms) + ")"
     if isinstance(e, Mul):
@@ -148,43 +147,38 @@ _COMPILE_ENV = {
 }
 
 
-def compile_expr(e: Expr):
-    """Compile to a callable f(jets_dict, params_dict) -> float."""
-    src = "lambda J, P: " + _codegen(e)
-    return eval(src, dict(_COMPILE_ENV))
-
-
 def _literal(value: float) -> str:
     text = repr(float(value))
     return f"({text})" if text.startswith("-") else text
 
 
-def vector_source(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
-    """Python source for several expressions of one state, without a def.
+def vector_source(exprs, slots: dict, params: dict[str, float]):
+    """Python source for several expressions of one vector, without a def.
 
     Returns ``(lines, outputs, read)``: the unindented lines ``t<k> = ...``
     that compute each shared subtree once, one expression per entry of
-    ``exprs``, and the sorted state indices the source reads.  Jet q^i_(s)
-    is the local ``j<slots[(i, s)]>``, parameters are baked in as float
-    constants, and an expression that is a bare number is a float literal.
-    A subtree that occurs more than once, within one expression or across
-    several, gets a line of its own.  Each expression keeps the operation
-    order of ``compile_expr``, so both give the same floats.
+    ``exprs``, and the sorted vector indices the source reads.  ``slots``
+    maps a jet's (index, order), or a symbol's params name, to its index
+    in the vector; that jet or symbol is the local ``j<index>``.  Every jet
+    needs a slot.  Any other symbol is baked in as the float constant
+    ``params[name]``, and an expression that is a bare number is a float
+    literal.  A subtree that occurs more than once, within one expression
+    or across several, gets a line of its own.  Each expression is written
+    as its tree reads, sums and products left to right.
     """
     exprs = list(exprs)
     read: set[int] = set()
 
     def leaf(e: Expr) -> str:
-        if isinstance(e, Jet):
-            key = (e.index, e.order)
-            if key not in slots:
-                raise EvaluationError(f"no state slot for jet {key}")
+        key = _leaf_key(e)
+        if key in slots:
             read.add(slots[key])
             return f"j{slots[key]}"
-        name = _symbol_name(e)
-        if name not in params:
-            raise EvaluationError(f"unbound parameter {name!r}")
-        return _literal(params[name])
+        if isinstance(e, Jet):
+            raise EvaluationError(f"no state slot for jet {key}")
+        if key not in params:
+            raise EvaluationError(f"unbound parameter {key!r}")
+        return _literal(params[key])
 
     # Number the classes of structurally equal subtrees, children first, and
     # count each class's uses: once per root and once per use in another
@@ -237,11 +231,12 @@ def exec_source(src: str, **names) -> dict:
     return env
 
 
-def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, float]):
+def compile_vector(exprs, slots: dict, params: dict[str, float]):
     """Compile several expressions into one function f(y) -> tuple of floats.
 
     The body is ``vector_source``'s: jet q^i_(s) is read from
-    ``y[slots[(i, s)]]`` once, and each shared subtree is computed once.
+    ``y[slots[(i, s)]]`` once (a symbol with a slot likewise), and each
+    shared subtree is computed once.
     """
     lines, outputs, read = vector_source(exprs, slots, params)
     src = "\n".join(
@@ -255,28 +250,11 @@ def compile_vector(exprs, slots: dict[tuple[int, int], int], params: dict[str, f
     return exec_source(src)["f"]
 
 
-def free_symbols(*exprs: Expr):
-    """Union of jets, parameters, and abstract sigma symbols.
-
-    One walk that visits each distinct node object once, since unnormalized
-    trees share subtrees.
-    """
-    jets: set[tuple[int, int]] = set()
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Jet):
-            jets.add((node.index, node.order))
-        elif isinstance(node, _SYMBOLS):
-            names.add(_symbol_name(node))
-        else:
-            stack.extend(node.children())
-    return jets, names
+def compile_expr(e: Expr):
+    """Compile to a callable f(jets_dict, params_dict) -> float."""
+    keys = list(dict.fromkeys(_leaf_key(n) for n in walk(e) if isinstance(n, _LEAVES)))
+    f = compile_vector([e], {key: k for k, key in enumerate(keys)}, {})
+    return lambda J, P: f([J[key] if type(key) is tuple else P[key] for key in keys])[0]
 
 
 # Sampled magnitudes lie in [lo, hi]; ``equivalent`` gives up after
@@ -320,23 +298,21 @@ def equivalent(
         raise ValueError("trials must be >= 1")
     rng = rng or random.Random(0)
     params = params or {}
-    jets, names = free_symbols(e1, e2)
-    # Sorted, so that each value is drawn for the same symbol in every process.
-    jets, names = sorted(jets), sorted(names)
-    f1, f2 = compile_expr(e1), compile_expr(e2)
+    keys = {_leaf_key(n) for n in walk(e1, e2) if isinstance(n, _LEAVES)}
+    # Sorted, so that each value is drawn for the same symbol in every process:
+    # the jets, then the symbols that ``params`` does not bind.
+    jets = sorted(k for k in keys if type(k) is tuple)
+    sampled = sorted(k for k in keys if type(k) is str and k not in params)
+    slots = [*jets, *sampled]
+    f = compile_vector([e1, e2], {key: k for k, key in enumerate(slots)}, params)
     done = 0
     resamples = 0
     last_error = None
     while done < trials:
-        point = {key: sample_value(rng) for key in jets}
-        bound = dict(params)
-        for name in names:
-            if name not in bound:
-                bound[name] = sample_value(rng)
+        y = [sample_value(rng) for _ in slots]
         try:
-            v1 = f1(point, bound)
-            v2 = f2(point, bound)
-        except (ArithmeticError, ValueError, KeyError) as err:
+            v1, v2 = f(y)
+        except (ArithmeticError, ValueError) as err:
             resamples += 1
             last_error = err
             if resamples > MAX_RESAMPLES:
@@ -352,8 +328,9 @@ def equivalent(
                 return EquivalenceResult(False, done, message="non-finite values")
             continue
         if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
+            bound = {**params, **dict(zip(sampled, y[len(jets) :]))}
             witness = {
-                "point": {f"q{i}_d{s}": v for (i, s), v in sorted(point.items())},
+                "point": {f"q{i}_d{s}": v for (i, s), v in zip(jets, y)},
                 "params": {k: bound[k] for k in sorted(bound)},
                 "lhs": v1,
                 "rhs": v2,

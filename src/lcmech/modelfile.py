@@ -62,7 +62,7 @@ class ModelFile:
     name: str = ""
 
 
-def _split_pairs(value: str, line: int) -> dict[str, str]:
+def _split_pairs(value: str, line: int | None) -> dict[str, str]:
     out: dict[str, str] = {}
     if not value.strip():
         return out
@@ -70,7 +70,10 @@ def _split_pairs(value: str, line: int) -> dict[str, str]:
         if ":" not in chunk:
             raise ModelFileError(E_VALUE, f"expected 'name: value' in {chunk!r}", line)
         key, val = chunk.split(":", 1)
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise ModelFileError(E_VALUE, f"{key!r} is given twice", line)
+        out[key] = val.strip()
     return out
 
 
@@ -191,7 +194,10 @@ def parse_model_text(text: str, name: str = "") -> ModelFile:
 
         initial: dict[str, float] = {}
         if "initial" in sim_entries:
-            initial = parse_initial(*sim_entries["initial"])
+            value, line = sim_entries["initial"]
+            initial = parse_initial(value, line)
+            # Check the labels here, where their line is known.
+            initial_jets(initial, coordinates, space.max_jet, line)
         simulation = SimulationBlock(
             t0=sim_float("t0"), t1=sim_float("t1"), dt=sim_float("dt"), initial=initial
         )
@@ -214,7 +220,7 @@ def load_model(path) -> ModelFile:
     return parse_model_text(text, name=os.path.basename(str(path)))
 
 
-def jet_key(label: str, coordinates: list[str], max_jet: int) -> tuple[int, int]:
+def jet_key(label: str, coordinates: list[str], max_jet: int, line=None) -> tuple[int, int]:
     """Resolve an initial-value label like x'' or x(4) to an (index, order)
     pair: the label must parse, in the expression grammar, to one jet of a
     coordinate of order at most max_jet."""
@@ -222,7 +228,19 @@ def jet_key(label: str, coordinates: list[str], max_jet: int) -> tuple[int, int]
     try:
         jet = parse_expression(label, space, coordinates)
     except ParseError as err:
-        raise ModelFileError(E_VALUE, f"bad initial data label {label!r}: {err}")
+        raise ModelFileError(E_VALUE, f"bad initial data label {label!r}: {err}", line)
     if not isinstance(jet, Jet):
-        raise ModelFileError(E_VALUE, f"initial data label {label!r} is not a coordinate jet")
+        raise ModelFileError(E_VALUE, f"initial label {label!r} is not a coordinate jet", line)
     return jet.index, jet.order
+
+
+def initial_jets(initial: dict, coordinates: list[str], max_jet: int, line=None) -> dict:
+    """Initial data keyed by (index, order), each label resolved by ``jet_key``;
+    two labels that name one jet, such as x' and x(1), are an error."""
+    out: dict[tuple[int, int], float] = {}
+    for label, value in initial.items():
+        key = jet_key(label, coordinates, max_jet, line)
+        if key in out:
+            raise ModelFileError(E_VALUE, f"initial label {label!r} names a jet given before", line)
+        out[key] = value
+    return out

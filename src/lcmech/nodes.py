@@ -360,11 +360,16 @@ def sort_key(e: Expr):
     return (k, len(children)) + tuple(sort_key(c) for c in children)
 
 
-def walk(e: Expr) -> Iterable[Expr]:
-    """Yield every node of the tree, parents before children."""
-    stack = [e]
+def walk(*roots: Expr) -> Iterable[Expr]:
+    """Yield each distinct node object under ``roots`` once, after a parent:
+    a shared subtree is walked once, not once per path to it."""
+    seen: set[int] = set()
+    stack = list(roots)
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node
         stack.extend(node.children())
 

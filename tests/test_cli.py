@@ -265,34 +265,68 @@ def _assert_golden_csv(directory, argv):
     csv = argv[-1]
     assert (directory / csv).read_bytes() == (GOLDEN / csv).read_bytes(), csv
 
+
+# chiral_lc with the conformal factor left abstract, so that the phi and
+# sigma symbols are sampled; written by ``_abstract_chiral_lc``.
+ABSTRACT_CHIRAL_LC = "chiral_lc_abstract.model"
+
+
+def _abstract_chiral_lc(directory) -> str:
+    text = bundled_path("chiral_lc").read_text(encoding="utf-8")
+    model = directory / ABSTRACT_CHIRAL_LC
+    model.write_text(text.replace("sigma = 2*atan2(y, x)", "sigma = abstract"), encoding="utf-8")
+    assert "sigma = abstract" in model.read_text(encoding="utf-8")
+    return str(model)
+
+
 GOLDEN_CASES = (
     [
-        (f"{m}.{form}.{ext}", ["derive", str(bundled_path(m)), "--form", form, "--format", fmt])
+        (f"{m}.{form}.{ext}", ["derive", str(bundled_path(m)), "--form", form, "--format", fmt], 0)
         for m in BUNDLED
         for form in ("classical", "expanded", "compact")
         for fmt, ext in FORMATS
     ]
-    + [(f"{m}.verify.json", ["verify", str(bundled_path(m)), "--seed", "42"]) for m in BUNDLED]
+    + [(f"{m}.verify.json", ["verify", str(bundled_path(m)), "--seed", "42"], 0) for m in BUNDLED]
     + [
-        (f"bell.s{s}.{ext}", ["bell", "--s", str(s), "--format", fmt])
+        (
+            f"{m}.verify-fault.json",
+            ["verify", str(bundled_path(m)), "--seed", "42", "--inject-fault"],
+            1,
+        )
+        for m in ("conformal_toy_1d", "chiral_lc")
+    ]
+    + [
+        (
+            "chiral_lc_abstract.verify-fault.json",
+            ["verify", ABSTRACT_CHIRAL_LC, "--seed", "7", "--inject-fault"],
+            1,
+        )
+    ]
+    + [
+        (f"bell.s{s}.{ext}", ["bell", "--s", str(s), "--format", fmt], 0)
         for s in range(1, 7)
         for fmt, ext in FORMATS
     ]
-    + [(f"{m}.simulate.txt", _simulate_argv(m)) for m in BUNDLED]
+    + [(f"{m}.simulate.txt", _simulate_argv(m), 0) for m in BUNDLED]
 )
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[n for n, _ in GOLDEN_CASES])
-def test_cli_output_matches_golden_files(capsys, monkeypatch, tmp_path, name, argv):
+@pytest.mark.parametrize("name, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_output_matches_golden_files(capsys, monkeypatch, tmp_path, name, argv, code):
     # tests/golden/MODEL.FORM.EXT holds the stdout of
     # `lcmech derive src/lcmech/models/MODEL.model --form FORM --format ...`,
     # MODEL.verify.json that of `lcmech verify ... --seed 42`,
+    # MODEL.verify-fault.json that of `lcmech verify ... --seed 42 --inject-fault`
+    # (exit code 1), chiral_lc_abstract.verify-fault.json that of
+    # `lcmech verify chiral_lc_abstract.model --seed 7 --inject-fault`,
     # bell.sS.EXT that of `lcmech bell --s S --format ...`, and
     # MODEL.simulate.txt and MODEL.simulate.csv the stdout and the CSV of
     # `lcmech simulate ... --t1 0.5 --dt 0.01 --output MODEL.simulate.csv`,
     # run in the directory that receives the CSV.
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
+    if ABSTRACT_CHIRAL_LC in argv:
+        _abstract_chiral_lc(tmp_path)
+    assert main(argv) == code
     expected = (GOLDEN / name).read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
     if argv[0] == "simulate":
@@ -341,6 +375,10 @@ def test_cli_runs_without_numpy(tmp_path):
         ["--initial", "x: 2, x(-2): 9"],
         ["--initial", "x(1)': 7"],
         ["--initial", "x'''': 1"],
+        # One jet twice, under one spelling or two, in either order.
+        ["--initial", "x: 1, x: 2, x': 0"],
+        ["--initial", "x: 1, x': 0, x(1): 5"],
+        ["--initial", "x(1): 5, x: 1, x': 0"],
     ],
 )
 def test_cli_simulate_rejects_bad_span_and_initial_data(tmp_path, capsys, flags):
@@ -350,6 +388,56 @@ def test_cli_simulate_rejects_bad_span_and_initial_data(tmp_path, capsys, flags)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def _oscillator_with(tmp_path, old, new):
+    """A copy of harmonic_oscillator.model with ``old`` replaced by ``new``,
+    and the number of the last line of ``new`` in it."""
+    text = bundled_path("harmonic_oscillator").read_text(encoding="utf-8")
+    assert old in text
+    model = tmp_path / "m.model"
+    model.write_text(text.replace(old, new), encoding="utf-8")
+    line = 1 + text[: text.index(old)].count("\n") + new.count("\n")
+    return str(model), line
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("initial = x: 1, x': 0", "initial = x: 1, x': 0, x(1): 5"),
+        ("initial = x: 1, x': 0", "initial = x: 1, x': 0, x: 2"),
+        ("initial = x: 1, x': 0", "initial = x: 1, x(-1): 0"),
+        ("sigma = 0", "sigma = 0\nparameters = m: 1, m: 2"),
+    ],
+    ids=["same-jet", "same-label", "bad-label", "same-parameter"],
+)
+def test_cli_model_file_value_errors_carry_their_line(tmp_path, capsys, old, new):
+    model, line = _oscillator_with(tmp_path, old, new)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", model, "--output", str(out)]) == 2
+    _assert_value_error(capsys, f" (line {line})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["x'", "x(1)"])
+def test_cli_simulate_initial_overrides_the_block_however_spelled(tmp_path, capsys, spelling):
+    # The block of harmonic_oscillator.model says x: 1, x': 0.
+    out = tmp_path / "o.csv"
+    model = str(bundled_path("harmonic_oscillator"))
+    argv = ["simulate", model, "--t1", "0.01", "--dt", "0.01", "--output", str(out)]
+    assert main([*argv, "--initial", f"{spelling}: 0.5"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1] == "0.0,1.0,0.5,0.0"
+
+
+@pytest.mark.parametrize("command", ["derive", "simulate", "bell"])
+@pytest.mark.parametrize("flag", ["--seed", "--trials", "--tol"])
+def test_cli_verify_flags_belong_to_verify_only(capsys, command, flag):
+    # The other commands draw nothing at random, so they take no seed.
+    target = ["--s", "2"] if command == "bell" else [str(bundled_path("harmonic_oscillator"))]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *target, flag, "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_simulate_blow_up_is_a_numerical_failure(tmp_path, capsys):
@@ -369,11 +457,8 @@ def test_cli_simulate_non_finite_state_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
-    text = bundled_path("chiral_lc").read_text(encoding="utf-8")
-    model = tmp_path / "abstract.model"
-    model.write_text(text.replace("sigma = 2*atan2(y, x)", "sigma = abstract"), encoding="utf-8")
-    assert "sigma = abstract" in model.read_text(encoding="utf-8")
-    cmd = [sys.executable, "-m", "lcmech.cli", "verify", str(model), "--seed", "7", "--inject-fault"]
+    model = _abstract_chiral_lc(tmp_path)
+    cmd = [sys.executable, "-m", "lcmech.cli", "verify", model, "--seed", "7", "--inject-fault"]
     runs = [
         subprocess.run(cmd, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
         for seed in ("0", "1")
@@ -413,9 +498,10 @@ def test_cli_derive_long_product(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("# expanded equations")
 
 
-def _assert_value_error(capsys):
+def _assert_value_error(capsys, end="\n"):
     err = capsys.readouterr().err
     assert err.startswith("error: E_VALUE: ") and err.count("\n") == 1, err
+    assert err.endswith(end), err
 
 
 def test_cli_verify_rejects_zero_trials(capsys):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from lcmech import (
 )
 from lcmech.calculus import ConformalFactor
 from lcmech.evaluate import sample_value
-from lcmech.nodes import walk
+from lcmech.nodes import contains_exp, jets_in, walk
 
 SPACE = JetSpace(dim=2, order=2)
 NAMES = ["x", "y"]
@@ -477,7 +478,8 @@ def test_compile_vector_shares_subtrees_and_matches_compile_expr():
     ]
     exprs = [parse_expression(t, SPACE, NAMES) for t in texts]
     slots = {(i, s): (i - 1) + 2 * s for s in range(2) for i in (1, 2)}
-    f = compile_vector(exprs, slots, {"k": -0.75})
+    params = {"k": -0.75}
+    f = compile_vector(exprs, slots, params)
     # (x^2 + y^2)^(-1) and x*y are bound to locals once.
     assert sum(name.startswith("t") for name in f.__code__.co_varnames) >= 2
     singles = [compile_expr(e) for e in exprs]
@@ -487,6 +489,43 @@ def test_compile_vector_shares_subtrees_and_matches_compile_expr():
         point = {key: y[slot] for key, slot in slots.items()}
         got = f(y)
         assert all(type(v) is float for v in got)
-        assert list(got) == [float(g(point, {"k": -0.75})) for g in singles]
+        # The Fraction interpreter is the independent reference.
+        for value, e in zip(got, exprs):
+            assert math.isclose(value, evaluate(e, point, params), rel_tol=1e-12), e
+        # compile_expr is an adapter over compile_vector: the same floats.
+        assert [g(point, params) for g in singles] == list(got)
     with pytest.raises(EvaluationError):
         compile_vector(exprs, slots, {})
+
+
+def test_equivalent_witness_maps_each_slot_back_to_its_symbol():
+    # The sides mix a baked parameter, sampled sigma and phi symbols, and
+    # jets.  Re-evaluated by ``evaluate`` at the witness, each side gives the
+    # reported value, which a consistent permutation of the slots would not.
+    x, xd, y = Jet(1, 0), Jet(1, 1), Jet(2, 0)
+    k, sigma, phi1, phi12 = Param("k"), SigmaSymbol(), PhiSymbol((1,)), PhiSymbol((1, 2))
+    lhs = k * x * sigma + phi1 * xd**2 - phi12 * y + exp(sigma * y)
+    rhs = lhs + phi1 * phi12 * x
+    result = equivalent(lhs, rhs, params={"k": 0.75}, rng=random.Random(3))
+    assert not result
+    witness = result.witness
+    params = witness["params"]
+    assert sorted(params) == ["k", "phi_1", "phi_1_2", "sigma"] and params["k"] == 0.75
+    point = {tuple(map(int, n[1:].split("_d"))): v for n, v in witness["point"].items()}
+    assert sorted(point) == [(1, 0), (1, 1), (2, 0)]
+    for side, value in ((lhs, witness["lhs"]), (rhs, witness["rhs"])):
+        assert math.isclose(evaluate(side, point, params), value, rel_tol=1e-12)
+
+
+def test_shared_subtrees_are_walked_once():
+    # 40 doublings of x: 41 node objects, but 2^40 paths from the root.
+    x = Jet(1, 0)
+    e = x
+    for _ in range(40):
+        e = Add((e, e))
+    start = time.perf_counter()
+    assert len(list(walk(e))) == 41
+    assert jets_in(e) == {(1, 0)}
+    assert not contains_exp(e)
+    assert equivalent(e, 2**40 * x, rng=random.Random(1))
+    assert time.perf_counter() - start < 1.0
