@@ -281,25 +281,37 @@ def cmd_simulate(args) -> int:
             E_VALUE, f"t1 - t0 = {t1 - t0!r} is not a whole number of steps dt = {dt!r}"
         )
     max_jet = model.space.max_jet
-    initial = initial_jets(sim.initial, mf.coordinates, max_jet) if sim else {}
-    if args.initial:
-        initial.update(initial_jets(parse_initial(args.initial), mf.coordinates, max_jet))
+    from_file = initial_jets(sim.initial, mf.coordinates, max_jet) if sim else {}
+    from_flag = (
+        initial_jets(parse_initial(args.initial), mf.coordinates, max_jet) if args.initial else {}
+    )
+    initial = {**from_file, **from_flag}
     eqs = conformal_el_expanded(model)
     ode = to_explicit_ode(eqs, model)
     r, k = ode.dim, ode.top_order
+
+    def labels(keys) -> str:
+        return ", ".join(f"{mf.coordinates[i - 1]}{chr(39) * s}" for i, s in keys)
+
+    # The state holds the jets below the effective order; data for a higher
+    # jet would be dropped, whether or not it agrees with the equations.
+    unused_flag = [key for key in from_flag if key[1] >= k]
+    unused_file = [key for key in from_file if key[1] >= k and key not in from_flag]
+    for unused, line in ((unused_flag, None), (unused_file, sim.initial_line if sim else None)):
+        if unused:
+            raise ModelFileError(
+                E_VALUE,
+                f"initial data for {labels(unused)} is not used: the state holds "
+                f"the jets below the effective order {k}",
+                line,
+            )
     state = [0.0] * (r * k)
-    seen = set()
     for (i, s), value in initial.items():
-        if s < k:
-            state[(i - 1) + r * s] = value
-            seen.add((i, s))
-    missing = [
-        (i, s) for s in range(k) for i in range(1, r + 1) if (i, s) not in seen
-    ]
+        state[(i - 1) + r * s] = value
+    missing = [(i, s) for s in range(k) for i in range(1, r + 1) if (i, s) not in initial]
     if missing:
-        labels = ", ".join(f"{mf.coordinates[i - 1]}{chr(39) * s}" for i, s in missing)
         raise ModelFileError(
-            "E_MISSING_KEY", f"initial data incomplete (effective order {k}): {labels}"
+            "E_MISSING_KEY", f"initial data incomplete (effective order {k}): {labels(missing)}"
         )
     stride = max(1, int(round(0.01 / dt))) if dt < 0.01 else 1
     traj = integrate(ode, state, t0, t1, dt, residual_stride=stride)

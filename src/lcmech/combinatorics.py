@@ -119,14 +119,25 @@ def bell_terms(s: int, m: int) -> list[BellTerm]:
     return out
 
 
+def _arrangements(combo: tuple[int, ...]) -> int:
+    """Number of distinct orderings of a sorted index tuple: c! / prod mult!."""
+    out = math.factorial(len(combo))
+    for _, run in itertools.groupby(combo):
+        out //= math.factorial(len(tuple(run)))
+    return out
+
+
 def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Expr:
     """The scalar F_s with d^s/dt^s e^{-sigma} = e^{-sigma} F_s, built
     combinatorially.
 
     Each Bell monomial contributes its coefficient times a full contraction:
-    every derivative factor receives an independent summation index, paired
-    positionally with one slot of the partition tensor (the tensor is fully
-    symmetric, so the pairing order is immaterial).  F_0 = 1.
+    every derivative factor carries a summation index, paired with one slot
+    of the partition tensor.  The c_j factors of order j commute and the
+    tensor is fully symmetric, so the sum runs over index multisets, one per
+    order j (``combinations_with_replacement``), each weighted by its number
+    of orderings c_j! / prod mult!; the tensor is built once per sorted
+    multiset of all the indices.  F_0 = 1.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -136,14 +147,24 @@ def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Ex
         return ONE
     if s > space.max_jet:
         raise ValueError("s exceeds max_jet; enlarge the jet space")
+    indices = range(1, space.dim + 1)
+    tensors: dict[tuple[int, ...], Expr] = {}
     terms = []
     for m in range(1, s + 1):
         for term in bell_terms(s, m):
-            orders = term.factor_orders
-            for assignment in itertools.product(range(1, space.dim + 1), repeat=m):
-                tensor = partition_tensor(sigma, assignment)
-                jets = [Jet(i, order) for i, order in zip(assignment, orders)]
-                terms.append(mul(Num(term.coefficient), tensor, *jets))
+            groups = [(j, c) for j, c in enumerate(term.counts, start=1) if c]
+            choices = [itertools.combinations_with_replacement(indices, c) for _, c in groups]
+            for combos in itertools.product(*choices):
+                weight = term.coefficient
+                jets = []
+                for (order, _), combo in zip(groups, combos):
+                    weight *= _arrangements(combo)
+                    jets.extend(Jet(i, order) for i in combo)
+                key = tuple(sorted(i for combo in combos for i in combo))
+                tensor = tensors.get(key)
+                if tensor is None:
+                    tensor = tensors[key] = partition_tensor(sigma, key)
+                terms.append(mul(Num(weight), tensor, *jets))
     return add(*terms)
 
 

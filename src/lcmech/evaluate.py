@@ -1,13 +1,14 @@
 """Numeric evaluation and random-sampling equivalence checking.
 
 ``evaluate`` is a straightforward recursive interpreter (exact rational
-subtrees are folded with Fractions before float conversion), kept as the
-reference the compiled path is tested against.  ``vector_source`` is the one
-generator of float code: several expressions of a flat vector (jets, and any
-symbol given a slot) as straight-line Python with each shared subtree
-computed once.  ``compile_vector`` wraps it into one function of the vector,
-for ``equivalent``, the variational check and the explicit ODE, which fuses
-it with its linear solve; ``compile_expr`` adapts it to a point dict.
+subtrees are folded with Fractions before float conversion, each distinct
+node object once), kept as the reference the compiled path is tested
+against.  ``vector_source`` is the one generator of float code: several
+expressions of a flat vector (jets, and any symbol given a slot) as
+straight-line Python with each shared subtree computed once.
+``compile_vector`` wraps it into one function of the vector, for
+``equivalent``, the variational check and the explicit ODE, which fuses it
+with its linear solve; ``compile_expr`` adapts it to a point dict.
 ``equivalent`` decides equality of two expressions by evaluating both at
 random points, in the style of polynomial identity testing; it is the single
 oracle used for all symbolic identities in this package.
@@ -45,49 +46,59 @@ SIGMA_EVAL_NAME = "sigma"
 
 
 def evaluate(e: Expr, point: dict[tuple[int, int], float], params: dict[str, float] | None = None):
-    """Evaluate at a point; jets are looked up as (index, order) pairs."""
+    """Evaluate at a point; jets are looked up as (index, order) pairs.
+
+    Each distinct node object is evaluated once per call, so a tree that
+    shares subtrees costs time linear in its distinct nodes.
+    """
     params = params or {}
+    memo: dict[int, object] = {}  # id(node) -> value; the nodes outlive the call
 
     def rec(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
         if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Jet):
-            key = (node.index, node.order)
-            if key not in point:
-                raise EvaluationError(f"point has no value for jet {key}")
-            return point[key]
-        if isinstance(node, Param):
+            value = node.value
+        elif isinstance(node, Jet):
+            jet = (node.index, node.order)
+            if jet not in point:
+                raise EvaluationError(f"point has no value for jet {jet}")
+            value = point[jet]
+        elif isinstance(node, Param):
             if node.name not in params:
                 raise EvaluationError(f"unbound parameter {node.name!r}")
-            return params[node.name]
-        if isinstance(node, PhiSymbol):
+            value = params[node.name]
+        elif isinstance(node, PhiSymbol):
             if node.eval_name not in params:
                 raise EvaluationError(f"unbound symbol {node.eval_name!r}")
-            return params[node.eval_name]
-        if isinstance(node, SigmaSymbol):
+            value = params[node.eval_name]
+        elif isinstance(node, SigmaSymbol):
             if SIGMA_EVAL_NAME not in params:
                 raise EvaluationError("unbound abstract conformal factor")
-            return params[SIGMA_EVAL_NAME]
-        if isinstance(node, Add):
-            return sum(rec(t) for t in node.terms)
-        if isinstance(node, Mul):
-            out = Fraction(1)
+            value = params[SIGMA_EVAL_NAME]
+        elif isinstance(node, Add):
+            value = sum(rec(t) for t in node.terms)
+        elif isinstance(node, Mul):
+            value = Fraction(1)
             for f in node.factors:
-                out = out * rec(f)
-            return out
-        if isinstance(node, Pow):
+                value = value * rec(f)
+        elif isinstance(node, Pow):
             base = rec(node.base)
             if node.exponent < 0 and base == 0:
                 raise EvaluationError("division by zero")
-            return base**node.exponent
-        if isinstance(node, Func):
-            return getattr(math, node.name)(rec(node.arg))
-        if isinstance(node, Angle):
+            value = base**node.exponent
+        elif isinstance(node, Func):
+            value = getattr(math, node.name)(rec(node.arg))
+        elif isinstance(node, Angle):
             y, x = rec(node.y), rec(node.x)
             if x == 0 and y == 0:
                 raise EvaluationError("polar angle undefined at the origin")
-            return math.atan2(y, x)
-        raise ExprError(f"cannot evaluate node {node!r}")
+            value = math.atan2(y, x)
+        else:
+            raise ExprError(f"cannot evaluate node {node!r}")
+        memo[key] = value
+        return value
 
     value = rec(e)
     return float(value)

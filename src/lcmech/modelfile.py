@@ -52,6 +52,7 @@ class SimulationBlock:
     t1: float
     dt: float
     initial: dict[str, float] = field(default_factory=dict)
+    initial_line: int | None = None  # the line of ``initial =``, for errors
 
 
 @dataclass
@@ -193,13 +194,18 @@ def parse_model_text(text: str, name: str = "") -> ModelFile:
                 raise ModelFileError(E_VALUE, f"simulation {key} is not a number", line)
 
         initial: dict[str, float] = {}
+        line = None
         if "initial" in sim_entries:
             value, line = sim_entries["initial"]
             initial = parse_initial(value, line)
             # Check the labels here, where their line is known.
             initial_jets(initial, coordinates, space.max_jet, line)
         simulation = SimulationBlock(
-            t0=sim_float("t0"), t1=sim_float("t1"), dt=sim_float("dt"), initial=initial
+            t0=sim_float("t0"),
+            t1=sim_float("t1"),
+            dt=sim_float("dt"),
+            initial=initial,
+            initial_line=line,
         )
 
     model = LagrangianModel(

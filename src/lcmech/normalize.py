@@ -23,7 +23,6 @@ are immutable, so the memoized ones are shared between callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Hashable, Iterable
 
 from .nodes import (
@@ -106,39 +105,49 @@ def _atom_nf(e: Expr) -> _NF:
     return (((((e, 1),), _NO_EXP), Fraction(1)),)
 
 
-@lru_cache(maxsize=None)
+# Process-wide and unbounded: expression -> NF.  ``normalize`` also records
+# each output it returns, so normalizing or zero-testing an output again is
+# one lookup.
+_NF_MEMO: dict[Expr, _NF] = {}
+
+
 def _nf(e: Expr) -> _NF:
+    nf = _NF_MEMO.get(e)
+    if nf is not None:
+        return nf
     if isinstance(e, Num):
-        if e.value == 0:
-            return ()
-        return ((((), _NO_EXP), e.value),)
-    if isinstance(e, (Jet, Param, PhiSymbol, SigmaSymbol)):
-        return _atom_nf(e)
-    if isinstance(e, Add):
+        nf = () if e.value == 0 else ((((), _NO_EXP), e.value),)
+    elif isinstance(e, (Jet, Param, PhiSymbol, SigmaSymbol)):
+        nf = _atom_nf(e)
+    elif isinstance(e, Add):
         # A plain loop: a generator here would add frames per nesting level.
         pairs = []
         for t in e.terms:
             pairs.extend(_nf(t))
-        return tuple(_merge(pairs))
-    if isinstance(e, Mul):
-        out = _ONE
+        nf = tuple(_merge(pairs))
+    elif isinstance(e, Mul):
+        nf = _ONE
         for f in e.factors:
-            nf = _nf(f)  # even after a zero factor, so that its errors raise
-            if out:
-                out = _mul_nf(out, nf)
-        return out
-    if isinstance(e, Pow):
-        return _pow_nf(_nf(e.base), e.exponent)
-    if isinstance(e, Func):
+            fnf = _nf(f)  # even after a zero factor, so that its errors raise
+            if nf:
+                nf = _mul_nf(nf, fnf)
+    elif isinstance(e, Pow):
+        nf = _pow_nf(_nf(e.base), e.exponent)
+    elif isinstance(e, Func):
         if e.name == "exp":
-            return ((((), _exparg(_nf(e.arg))), Fraction(1)),)
-        arg = rebuild(_nf(e.arg))
-        if arg == ZERO:
-            return () if e.name == "sin" else _ONE
-        return _atom_nf(Func(e.name, arg))
-    if isinstance(e, Angle):
-        return _atom_nf(Angle(rebuild(_nf(e.y)), rebuild(_nf(e.x))))
-    raise ExprError(f"cannot normalize node {e!r}")
+            nf = ((((), _exparg(_nf(e.arg))), Fraction(1)),)
+        else:
+            arg = rebuild(_nf(e.arg))
+            if arg == ZERO:
+                nf = () if e.name == "sin" else _ONE
+            else:
+                nf = _atom_nf(Func(e.name, arg))
+    elif isinstance(e, Angle):
+        nf = _atom_nf(Angle(rebuild(_nf(e.y)), rebuild(_nf(e.x))))
+    else:
+        raise ExprError(f"cannot normalize node {e!r}")
+    _NF_MEMO[e] = nf
+    return nf
 
 
 def rebuild(nf: Iterable[tuple[_Monomial, Fraction]]) -> Expr:
@@ -164,8 +173,16 @@ def rebuild(nf: Iterable[tuple[_Monomial, Fraction]]) -> Expr:
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical form of ``e``; idempotent and evaluation-preserving."""
-    return rebuild(_nf(e))
+    """Canonical form of ``e``; idempotent and evaluation-preserving.
+
+    The memo behind it holds both the NF of every input and, for each
+    output, the NF it was rebuilt from, so normalizing an output again, or
+    zero-testing it, is a lookup rather than a second walk.
+    """
+    nf = _nf(e)
+    out = rebuild(nf)
+    _NF_MEMO.setdefault(out, nf)
+    return out
 
 
 def is_zero(e: Expr) -> bool:

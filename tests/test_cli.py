@@ -279,6 +279,10 @@ def _abstract_chiral_lc(directory) -> str:
     return str(model)
 
 
+# The order-5, dim-3 model of ROADMAP.md with a quadratic and an abstract sigma.
+TEST_MODELS = Path(__file__).parent / "models"
+HEADLINE = ("headline_quadratic", "headline_abstract")
+
 GOLDEN_CASES = (
     [
         (f"{m}.{form}.{ext}", ["derive", str(bundled_path(m)), "--form", form, "--format", fmt], 0)
@@ -308,6 +312,18 @@ GOLDEN_CASES = (
         for fmt, ext in FORMATS
     ]
     + [(f"{m}.simulate.txt", _simulate_argv(m), 0) for m in BUNDLED]
+    + [
+        (f"{m}.expanded.{ext}", ["derive", str(TEST_MODELS / f"{m}.model"), "--format", fmt], 0)
+        for m in HEADLINE
+        for fmt, ext in FORMATS
+    ]
+    + [
+        (
+            "headline_quadratic.verify.json",
+            ["verify", str(TEST_MODELS / "headline_quadratic.model"), "--seed", "42"],
+            0,
+        )
+    ]
 )
 
 
@@ -319,10 +335,12 @@ def test_cli_output_matches_golden_files(capsys, monkeypatch, tmp_path, name, ar
     # MODEL.verify-fault.json that of `lcmech verify ... --seed 42 --inject-fault`
     # (exit code 1), chiral_lc_abstract.verify-fault.json that of
     # `lcmech verify chiral_lc_abstract.model --seed 7 --inject-fault`,
-    # bell.sS.EXT that of `lcmech bell --s S --format ...`, and
+    # bell.sS.EXT that of `lcmech bell --s S --format ...`,
     # MODEL.simulate.txt and MODEL.simulate.csv the stdout and the CSV of
     # `lcmech simulate ... --t1 0.5 --dt 0.01 --output MODEL.simulate.csv`,
-    # run in the directory that receives the CSV.
+    # run in the directory that receives the CSV, and headline_*.expanded.EXT
+    # and headline_quadratic.verify.json those of derive and verify --seed 42
+    # on tests/models/headline_*.model.
     monkeypatch.chdir(tmp_path)
     if ABSTRACT_CHIRAL_LC in argv:
         _abstract_chiral_lc(tmp_path)
@@ -379,6 +397,10 @@ def test_cli_runs_without_numpy(tmp_path):
         ["--initial", "x: 1, x: 2, x': 0"],
         ["--initial", "x: 1, x': 0, x(1): 5"],
         ["--initial", "x(1): 5, x: 1, x': 0"],
+        # Jets at or above the effective order (2 here) are not part of the state.
+        ["--initial", "x'': 5"],
+        ["--initial", "x'': 5, x(3): 7"],
+        ["--initial", "x: 1, x': 0, x'': -1"],
     ],
 )
 def test_cli_simulate_rejects_bad_span_and_initial_data(tmp_path, capsys, flags):
@@ -408,14 +430,28 @@ def _oscillator_with(tmp_path, old, new):
         ("initial = x: 1, x': 0", "initial = x: 1, x': 0, x: 2"),
         ("initial = x: 1, x': 0", "initial = x: 1, x(-1): 0"),
         ("sigma = 0", "sigma = 0\nparameters = m: 1, m: 2"),
+        ("initial = x: 1, x': 0", "initial = x: 1, x': 0, x'': -1"),
     ],
-    ids=["same-jet", "same-label", "bad-label", "same-parameter"],
+    ids=["same-jet", "same-label", "bad-label", "same-parameter", "unused-jet"],
 )
 def test_cli_model_file_value_errors_carry_their_line(tmp_path, capsys, old, new):
     model, line = _oscillator_with(tmp_path, old, new)
     out = tmp_path / "o.csv"
     assert main(["simulate", model, "--output", str(out)]) == 2
     _assert_value_error(capsys, f" (line {line})\n")
+    assert not out.exists()
+
+
+def test_cli_simulate_names_unused_initial_data(tmp_path, capsys):
+    # Labels from --initial carry no line.
+    out = tmp_path / "o.csv"
+    model = str(bundled_path("harmonic_oscillator"))
+    assert main(["simulate", model, "--output", str(out), "--initial", "x'': 5, x(3): 7"]) == 2
+    _assert_value_error(
+        capsys,
+        "initial data for x'', x''' is not used: the state holds the jets below"
+        " the effective order 2\n",
+    )
     assert not out.exists()
 
 

@@ -229,3 +229,54 @@ def test_exp_derivative_factor_trivial_sigma():
 def test_exp_derivative_factor_order_cap():
     with pytest.raises(Exception):
         exp_derivative_factor(MAX_DERIVATIVE_ORDER + 1, ABSTRACT, JetSpace(1, 1, max_jet=10))
+
+
+def _ordered_assignment_reference(s, sigma, space):
+    """F_s with one term per ordered index assignment, the tensor rebuilt for
+    each: the contraction before it was folded over index multisets."""
+    terms = []
+    for m in range(1, s + 1):
+        for term in bell_terms(s, m):
+            orders = term.factor_orders
+            for assignment in itertools.product(range(1, space.dim + 1), repeat=m):
+                jets = [Jet(i, order) for i, order in zip(assignment, orders)]
+                tensor = partition_tensor(sigma, assignment)
+                terms.append(mul(num(term.coefficient), tensor, *jets))
+    return add(*terms)
+
+
+CONCRETE_SIGMA = {1: "x^3 - 2*x", 2: "x^2*y - y^3 + x", 3: "x^2 + y*z - 3*x*y*z"}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exp_derivative_factor_equals_ordered_assignment_sum_exactly(dim):
+    names = ["x", "y", "z"][:dim]
+    space = JetSpace(dim=dim, order=5, max_jet=10)
+    concrete = ConformalFactor(parse_expression(CONCRETE_SIGMA[dim], space, names))
+    for sigma in (ABSTRACT, concrete):
+        for s in range(1, 6):
+            new = exp_derivative_factor(s, sigma, space)
+            old = _ordered_assignment_reference(s, sigma, space)
+            assert is_zero(normalize(add(new, mul(num(-1), old)))), (dim, s, sigma)
+
+
+def test_exp_derivative_factor_builds_one_tensor_per_index_multiset(monkeypatch):
+    import lcmech.combinatorics as combinatorics
+
+    built = []
+
+    def counting(sigma, indices):
+        built.append(indices)
+        return partition_tensor(sigma, indices)
+
+    monkeypatch.setattr(combinatorics, "partition_tensor", counting)
+    space = JetSpace(dim=3, order=5, max_jet=10)
+    for s in range(1, 6):
+        built.clear()
+        exp_derivative_factor(s, ABSTRACT, space)
+        multisets = [
+            combo
+            for m in range(1, s + 1)
+            for combo in itertools.combinations_with_replacement((1, 2, 3), m)
+        ]
+        assert sorted(built) == sorted(multisets), s

@@ -33,6 +33,8 @@ from lcmech import (
     variational_fd_check,
 )
 from lcmech.calculus import ABSTRACT, ConformalFactor, zero_factor
+from lcmech.modelfile import load_model
+from lcmech.models import BUNDLED, bundled_path
 from lcmech.nodes import contains_exp
 
 
@@ -351,3 +353,24 @@ def test_model_rejects_jet_dependent_sigma():
         LagrangianModel(
             space=space, lagrangian=Jet(1, 1), sigma=ConformalFactor(Jet(1, 1))
         )
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_seeded_normal_forms_equal_cold_ones(name):
+    # normalize records each output's NF; that seeded entry must be the NF a
+    # fresh walk of the output gives, as a set (NFs are unordered).
+    from lcmech.normalize import _NF_MEMO, _nf
+
+    model = load_model(bundled_path(name)).model
+    residuals = [
+        *classical_el(model).residuals,
+        *conformal_el_expanded(model).residuals,
+        *conformal_rhs(model),
+    ]
+    seeded = []
+    for r in residuals:
+        assert r in _NF_MEMO
+        seeded.append(_NF_MEMO[r])
+    for r, nf in zip(residuals, seeded):
+        _NF_MEMO.clear()
+        assert set(_nf(r)) == set(nf), (name, r)

@@ -42,6 +42,7 @@ from lcmech import (
 from lcmech.calculus import ConformalFactor
 from lcmech.evaluate import sample_value
 from lcmech.nodes import contains_exp, jets_in, walk
+from lcmech.normalize import _NF_MEMO
 
 SPACE = JetSpace(dim=2, order=2)
 NAMES = ["x", "y"]
@@ -135,6 +136,13 @@ def test_latex_of_unnormalized_products_typesets():
 # normalization
 
 
+def _cold_normalize(e):
+    """``normalize`` with an empty memo: ``normalize`` records its outputs, so
+    normalizing one again would otherwise be a lookup, not a second walk."""
+    _NF_MEMO.clear()
+    return normalize(e)
+
+
 def test_normalize_idempotent_and_value_preserving():
     rng = random.Random(7)
     exprs = [
@@ -148,8 +156,7 @@ def test_normalize_idempotent_and_value_preserving():
     ]
     for e in exprs:
         n1 = normalize(e)
-        n2 = normalize(n1)
-        assert n1 == n2
+        assert _cold_normalize(n1) == n1
         assert equivalent(e, n1, trials=10, tol=1e-10, rng=rng)
 
 
@@ -300,7 +307,7 @@ def simple_exprs(draw):
 @given(simple_exprs())
 def test_normalize_preserves_value_property(e):
     n = normalize(e)
-    assert normalize(n) == n
+    assert _cold_normalize(n) == n
     rng = random.Random(101)
     point = _random_point(rng, dim=2, max_order=3)
     params = {"a": 1.37}
@@ -396,7 +403,7 @@ def test_normalize_does_not_depend_on_input_order_property(e):
     assert n == _normalized_or_error(m)
     if isinstance(n, str):
         return
-    assert normalize(n) == n
+    assert _cold_normalize(n) == n
     assert is_zero(e - m)
 
 
@@ -528,4 +535,19 @@ def test_shared_subtrees_are_walked_once():
     assert jets_in(e) == {(1, 0)}
     assert not contains_exp(e)
     assert equivalent(e, 2**40 * x, rng=random.Random(1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_evaluate_visits_each_shared_subtree_once():
+    # The Fraction reference on the 40 doublings of x, 2^40 paths from the root.
+    from lcmech.evaluate import compile_vector
+
+    x = Jet(1, 0)
+    e = x
+    for _ in range(40):
+        e = Add((e, e))
+    f = compile_vector([e], {(1, 0): 0}, {})
+    start = time.perf_counter()
+    for value in (0.375, -1.25, 3.0):
+        assert evaluate(e, {(1, 0): value}) == f([value])[0] == 2**40 * value
     assert time.perf_counter() - start < 1.0
