@@ -143,10 +143,17 @@ class ConformalFactor:
     ``sigma is None`` selects abstract mode: sigma itself and its partial
     derivatives appear as opaque symbols, which reproduces displayed
     formulas without committing to a concrete function.
+
+    Two tables live as long as the factor: the normalized partials of
+    ``phi``, and ``tensors``, the partition tensors that
+    ``exp_derivative_factor`` builds, keyed by sorted index multiset.  So the
+    orders 1..n of one model's equations, and the F_s checks of ``verify``,
+    build each tensor once.
     """
 
     sigma: Expr | None = None
     _cache: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    tensors: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def is_abstract(self) -> bool:

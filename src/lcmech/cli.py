@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -172,7 +173,9 @@ def run_verification(
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="lcmech",
         description="Locally conformal higher-order Lagrangian mechanics toolkit",

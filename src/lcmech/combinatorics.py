@@ -136,8 +136,9 @@ def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Ex
     of the partition tensor.  The c_j factors of order j commute and the
     tensor is fully symmetric, so the sum runs over index multisets, one per
     order j (``combinations_with_replacement``), each weighted by its number
-    of orderings c_j! / prod mult!; the tensor is built once per sorted
-    multiset of all the indices.  F_0 = 1.
+    of orderings c_j! / prod mult!.  The tensor of each sorted multiset of
+    all the indices is built once per conformal factor and kept in its
+    ``tensors`` table, which every order s shares.  F_0 = 1.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -148,7 +149,7 @@ def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Ex
     if s > space.max_jet:
         raise ValueError("s exceeds max_jet; enlarge the jet space")
     indices = range(1, space.dim + 1)
-    tensors: dict[tuple[int, ...], Expr] = {}
+    tensors = sigma.tensors
     terms = []
     for m in range(1, s + 1):
         for term in bell_terms(s, m):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .calculus import ConformalFactor, partial, substitute
-from .evaluate import compile_vector, exec_source, vector_source
+from .evaluate import compile_vector, exec_source, literal, vector_source
 from .nodes import (
     Expr,
     ExprError,
@@ -154,6 +154,56 @@ def _compile_solver(r: int):
     return exec_source(src, **_SOLVE_NAMES)["solve"]
 
 
+def _folded_elimination(r: int, m: list[float]) -> list[str]:
+    """``_elimination`` for a constant M, given as r*r floats row-major.
+
+    The pivot choices, det and the elimination factors are computed here,
+    with the operations and in the order of ``_elimination``'s lines, so
+    the returned lines hold only the b-side updates and the back
+    substitution, with the folded values as float literals, and set
+    ``det``.  They compute the same floats.  A zero pivot or a det at or
+    below DET_THRESHOLD gives the one line ``raise singular()``.
+    """
+    rows = [m[i * r : (i + 1) * r] for i in range(r)]
+    # Swapping rows of M swaps the names of their b entries.
+    cs = [f"c{i}" for i in range(r)]
+    lines = [f"{c} = -{c}" for c in cs]
+    det = 1.0
+    for k in range(r):
+        for i in range(k + 1, r):
+            if abs(rows[i][k]) > abs(rows[k][k]):
+                rows[k][k:], rows[i][k:] = rows[i][k:], rows[k][k:]
+                cs[k], cs[i] = cs[i], cs[k]
+                det = -det
+        pivot = rows[k][k]
+        if pivot == 0.0:
+            return ["raise singular()"]
+        det *= pivot
+        for i in range(k + 1, r):
+            f = rows[i][k] / pivot
+            for j in range(k + 1, r):
+                rows[i][j] -= f * rows[k][j]
+            lines.append(f"{cs[i]} -= {literal(f)} * {cs[k]}")
+    if abs(det) <= DET_THRESHOLD:
+        return ["raise singular()"]
+    lines.append(f"det = {literal(det)}")
+    for k in range(r - 1, -1, -1):
+        lines.append(f"x{k} = {cs[k]} / {literal(rows[k][k])}")
+        lines += [f"{cs[i]} -= {literal(rows[i][k])} * x{k}" for i in range(k)]
+    return lines
+
+
+def _constant_matrix(entries, slots, params) -> list[float] | None:
+    """The entries of M as floats when none reads the state, else None;
+    also None when computing them fails, so that the field fails per call."""
+    if any(jets_in(e) for e in entries):
+        return None
+    try:
+        return list(compile_vector(entries, slots, params)(()))
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _compile_field(r: int, n: int, system, slots, params):
     """The fused vector field of a state of n floats and r coordinates.
 
@@ -162,16 +212,23 @@ def _compile_field(r: int, n: int, system, slots, params):
     computed once, then the elimination.  It returns (j<r>, ..., j<n-1>,
     x0, ..., x<r-1>) with x the top jets, or ([x0, ..., x<r-1>], det M)
     when ``solve`` is true: one body, so the M and b arithmetic is
-    compiled once.
+    compiled once.  A constant M is folded: the field computes only b and
+    the b-side of the elimination (``_folded_elimination``).
     """
-    lines, outputs, _ = vector_source(system, slots, params)
+    m = _constant_matrix(system[: r * r], slots, params)
+    if m is None:
+        lines, outputs, _ = vector_source(system, slots, params)
+        names, solve = _system_names(r), _elimination(r)
+    else:
+        lines, outputs, _ = vector_source(system[r * r :], slots, params)
+        names, solve = _system_names(r)[r * r :], _folded_elimination(r, m)
     xs = ", ".join(f"x{k}" for k in range(r))
     src = "\n".join(
         [
             f"def field({''.join(f'j{i}, ' for i in range(n))}solve=False):",
             *(" " + line for line in lines),
-            *(f" {name} = {out}" for name, out in zip(_system_names(r), outputs)),
-            *(" " + line for line in _elimination(r)),
+            *(f" {name} = {out}" for name, out in zip(names, outputs)),
+            *(" " + line for line in solve),
             f" if solve: return [{xs}], det",
             f" return ({''.join(f'j{i}, ' for i in range(r, n))}{xs},)",
         ]

@@ -158,7 +158,8 @@ _COMPILE_ENV = {
 }
 
 
-def _literal(value: float) -> str:
+def literal(value: float) -> str:
+    """Source text of a float that reads back as the same float."""
     text = repr(float(value))
     return f"({text})" if text.startswith("-") else text
 
@@ -189,7 +190,7 @@ def vector_source(exprs, slots: dict, params: dict[str, float]):
             raise EvaluationError(f"no state slot for jet {key}")
         if key not in params:
             raise EvaluationError(f"unbound parameter {key!r}")
-        return _literal(params[key])
+        return literal(params[key])
 
     # Number the classes of structurally equal subtrees, children first, and
     # count each class's uses: once per root and once per use in another
@@ -229,7 +230,7 @@ def vector_source(exprs, slots: dict, params: dict[str, float]):
             lines.append(f"t{k} = {_codegen(node, leaf, named)}")
             names[k] = f"t{k}"
     outputs = [
-        _literal(e.value) if isinstance(e, Num) else _codegen(e, leaf, named) for e in exprs
+        literal(e.value) if isinstance(e, Num) else _codegen(e, leaf, named) for e in exprs
     ]
     return lines, outputs, sorted(read)
 

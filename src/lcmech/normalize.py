@@ -11,13 +11,20 @@ Non-polynomial subtrees (sin, cos, the angle node, negative powers of
 multi-term sums) are normalized recursively and then treated as atomic
 monomial factors.
 
-The normal form (NF) is a tuple of (monomial, non-zero coefficient) pairs
-in no particular order.  A monomial is a pair (factors, exparg): factors is
-a tuple of (factor, non-zero exponent) pairs in ``sort_key`` order, one per
-distinct factor, and exparg is the frozenset of NF pairs of the argument of
-its single exp factor (empty without one).  Only ``rebuild`` orders
-monomials, so sums and products merge in one dict without sorting.  NFs
-are immutable, so the memoized ones are shared between callers.
+The normal form (NF) is a tuple of (monomial, coefficient) pairs in no
+particular order.  A coefficient is exact and non-zero: a plain ``int``
+whenever its denominator is 1, a ``Fraction`` only for a true rational.  A
+monomial is a pair (factors, exparg): factors is a frozenset of (factor,
+non-zero exponent) pairs, one per distinct factor, and exparg is the
+frozenset of NF pairs of the argument of its single exp factor (empty
+without one).  A frozenset stores its hash once computed, so a monomial
+key hashes in O(1) however many factors it has, and merging needs no
+ordering: only ``rebuild`` sorts, factors and then monomials by
+``sort_key``.  Equal factor sets are interned in ``_FACTOR_SETS``, which,
+like the ``_NF_MEMO`` memo, is process-wide and lives as long as the
+process: a factor set built again is the stored object, so memory stays
+flat and equal keys compare by identity.  NFs are immutable, so the
+memoized ones are shared between callers.
 """
 
 from __future__ import annotations
@@ -44,31 +51,56 @@ from .nodes import (
     sort_key,
 )
 
-_Monomial = tuple[tuple[tuple[Expr, int], ...], frozenset]
-_NF = tuple[tuple[_Monomial, Fraction], ...]
+_Coeff = int | Fraction
+_Monomial = tuple[frozenset, frozenset]
+_NF = tuple[tuple[_Monomial, _Coeff], ...]
 
-# frozenset() is a fresh 216-byte object on each call; share one.
-_NO_EXP: frozenset = frozenset()
-_ONE: _NF = ((((), _NO_EXP), Fraction(1)),)
+# frozenset() is a fresh 216-byte object on each call; share one, as the
+# factors and the exparg of a monomial without them.
+_EMPTY: frozenset = frozenset()
+_ONE: _NF = (((_EMPTY, _EMPTY), 1),)
+
+# Process-wide, like _NF_MEMO: factor set -> the one stored equal object.
+_FACTOR_SETS: dict[frozenset, frozenset] = {}
 
 
-def _merge(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> list:
+def _coeff(v: _Coeff) -> _Coeff:
+    """``v`` as an int when its denominator is 1."""
+    if v.__class__ is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _merge(pairs: Iterable[tuple[Hashable, _Coeff]]) -> list:
     """Sum the values of equal keys; drop the keys whose sum is zero."""
     d: dict = {}
     for k, v in pairs:
         old = d.get(k)
-        d[k] = v if old is None else old + v
+        d[k] = v if old is None else _coeff(old + v)
     return [kv for kv in d.items() if kv[1]]
 
 
+def _factors(pairs) -> frozenset:
+    """The interned frozenset of (factor, exponent) ``pairs``."""
+    fs = frozenset(pairs)
+    return _FACTOR_SETS.setdefault(fs, fs)
+
+
 def _exparg(pairs) -> frozenset:
-    return frozenset(pairs) if pairs else _NO_EXP
+    return frozenset(pairs) if pairs else _EMPTY
 
 
 def _mono_mul(a: _Monomial, b: _Monomial) -> _Monomial:
     (fa, xa), (fb, xb) = a, b
     if fa and fb:
-        factors = tuple(sorted(_merge(fa + fb), key=lambda fe: sort_key(fe[0])))
+        powers = dict(fa)
+        for f, e in fb:
+            e += powers.get(f, 0)
+            if e:
+                powers[f] = e
+            else:
+                del powers[f]
+        factors = _factors(powers.items()) if powers else _EMPTY
     else:
         factors = fa or fb
     exparg = _exparg(_merge([*xa, *xb])) if xa and xb else xa or xb
@@ -76,7 +108,9 @@ def _mono_mul(a: _Monomial, b: _Monomial) -> _Monomial:
 
 
 def _mul_nf(a: _NF, b: _NF) -> _NF:
-    return tuple(_merge((_mono_mul(ma, mb), ca * cb) for ma, ca in a for mb, cb in b))
+    return tuple(
+        _merge((_mono_mul(ma, mb), _coeff(ca * cb)) for ma, ca in a for mb, cb in b)
+    )
 
 
 def _pow_nf(base: _NF, k: int) -> _NF:
@@ -88,9 +122,10 @@ def _pow_nf(base: _NF, k: int) -> _NF:
         return ()
     if len(base) == 1:
         ((factors, exparg), coeff), = base
-        factors = tuple((f, e * k) for f, e in factors)
-        exparg = _exparg([(m, c * k) for m, c in exparg])
-        return (((factors, exparg), coeff**k),)
+        factors = _factors((f, e * k) for f, e in factors) if factors else _EMPTY
+        exparg = _exparg([(m, _coeff(c * k)) for m, c in exparg])
+        # An int to a negative power is a Fraction, never a float.
+        return (((factors, exparg), _coeff(Fraction(coeff) ** k if k < 0 else coeff**k)),)
     if k > 0:
         out = base
         for _ in range(k - 1):
@@ -102,7 +137,7 @@ def _pow_nf(base: _NF, k: int) -> _NF:
 
 
 def _atom_nf(e: Expr) -> _NF:
-    return (((((e, 1),), _NO_EXP), Fraction(1)),)
+    return (((_factors(((e, 1),)), _EMPTY), 1),)
 
 
 # Process-wide and unbounded: expression -> NF.  ``normalize`` also records
@@ -116,7 +151,7 @@ def _nf(e: Expr) -> _NF:
     if nf is not None:
         return nf
     if isinstance(e, Num):
-        nf = () if e.value == 0 else ((((), _NO_EXP), e.value),)
+        nf = () if e.value == 0 else (((_EMPTY, _EMPTY), _coeff(e.value)),)
     elif isinstance(e, (Jet, Param, PhiSymbol, SigmaSymbol)):
         nf = _atom_nf(e)
     elif isinstance(e, Add):
@@ -130,12 +165,12 @@ def _nf(e: Expr) -> _NF:
         for f in e.factors:
             fnf = _nf(f)  # even after a zero factor, so that its errors raise
             if nf:
-                nf = _mul_nf(nf, fnf)
+                nf = fnf if nf is _ONE else _mul_nf(nf, fnf)
     elif isinstance(e, Pow):
         nf = _pow_nf(_nf(e.base), e.exponent)
     elif isinstance(e, Func):
         if e.name == "exp":
-            nf = ((((), _exparg(_nf(e.arg))), Fraction(1)),)
+            nf = (((_EMPTY, _exparg(_nf(e.arg))), 1),)
         else:
             arg = rebuild(_nf(e.arg))
             if arg == ZERO:
@@ -150,7 +185,7 @@ def _nf(e: Expr) -> _NF:
     return nf
 
 
-def rebuild(nf: Iterable[tuple[_Monomial, Fraction]]) -> Expr:
+def rebuild(nf: Iterable[tuple[_Monomial, _Coeff]]) -> Expr:
     """Reconstruct the canonical Expr for a normal form.
 
     Factors are ordered by ``sort_key``, the exp factor among them, and
@@ -160,7 +195,7 @@ def rebuild(nf: Iterable[tuple[_Monomial, Fraction]]) -> Expr:
     terms = []
     for (factors, exparg), coeff in nf:
         if exparg:
-            factors = (*factors, (Func("exp", rebuild(exparg)), 1))
+            factors = [*factors, (Func("exp", rebuild(exparg)), 1)]
         for f, _ in factors:
             if f not in keys:
                 keys[f] = sort_key(f)

@@ -493,14 +493,49 @@ def test_cli_simulate_non_finite_state_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_cli_verify_report_is_independent_of_hash_seed(tmp_path):
-    model = _abstract_chiral_lc(tmp_path)
-    cmd = [sys.executable, "-m", "lcmech.cli", "verify", model, "--seed", "7", "--inject-fault"]
-    runs = [
-        subprocess.run(cmd, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
-        for seed in ("0", "1")
-    ]
-    assert [r.returncode for r in runs] == [1, 1]
-    assert runs[0].stdout == runs[1].stdout
+    # verify draws its sample values in set-iteration order, and the factors
+    # of a normal form are a set: the bytes printed must not follow either.
+    cases = (
+        (["verify", _abstract_chiral_lc(tmp_path), "--seed", "7", "--inject-fault"], 1),
+        (["derive", str(TEST_MODELS / "headline_abstract.model")], 0),
+        (["derive", str(bundled_path("chiral_lc")), "--format", "latex"], 0),
+    )
+    for argv, code in cases:
+        cmd = [sys.executable, "-m", "lcmech.cli", *argv]
+        runs = [
+            subprocess.run(cmd, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")
+        ]
+        assert [r.returncode for r in runs] == [code, code], argv
+        assert runs[0].stdout == runs[1].stdout, argv
+
+
+def test_cli_main_calls_in_one_process_are_independent(capsys, monkeypatch, tmp_path):
+    # The parser is built once per process; each call must still print what
+    # it prints alone: its golden, or for a bad --form the usage error of a
+    # fresh process.
+    model = str(bundled_path("chiral_lc"))
+    bad = ["derive", model, "--form", "bogus"]
+    alone = subprocess.run([sys.executable, "-m", "lcmech.cli", *bad], capture_output=True)
+    assert alone.returncode == 2
+    monkeypatch.chdir(tmp_path)
+    calls = (
+        ("chiral_lc.compact.tex", ["derive", model, "--form", "compact", "--format", "latex"]),
+        (None, bad),
+        ("chiral_lc.verify.json", ["verify", model, "--seed", "42"]),
+        ("chiral_lc.simulate.txt", _simulate_argv("chiral_lc")),
+    )
+    for name, argv in calls:
+        if name is None:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            out = capsys.readouterr()
+            assert (out.out, out.err.encode("utf-8")) == ("", alone.stderr)
+            continue
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+    _assert_golden_csv(tmp_path, _simulate_argv("chiral_lc"))
 
 
 def _long_model(tmp_path, name, body):

@@ -271,12 +271,14 @@ def test_exp_derivative_factor_builds_one_tensor_per_index_multiset(monkeypatch)
 
     monkeypatch.setattr(combinatorics, "partition_tensor", counting)
     space = JetSpace(dim=3, order=5, max_jet=10)
+    # F_s needs the multisets of sizes 1..s; the factor's table already holds
+    # those of the lower orders, so order s builds only the ones of size s.
+    sigma = ConformalFactor(None)
     for s in range(1, 6):
         built.clear()
-        exp_derivative_factor(s, ABSTRACT, space)
-        multisets = [
-            combo
-            for m in range(1, s + 1)
-            for combo in itertools.combinations_with_replacement((1, 2, 3), m)
-        ]
-        assert sorted(built) == sorted(multisets), s
+        exp_derivative_factor(s, sigma, space)
+        assert sorted(built) == list(itertools.combinations_with_replacement((1, 2, 3), s)), s
+    built.clear()
+    for s in range(1, 6):
+        exp_derivative_factor(s, sigma, space)
+    assert built == []

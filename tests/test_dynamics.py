@@ -32,9 +32,10 @@ from lcmech import (
     partial,
     to_explicit_ode,
 )
-from lcmech.calculus import ConformalFactor, zero_factor
-from lcmech.dynamics import Trajectory, conformal_source_matrix
-from lcmech.nodes import jets_in
+from lcmech.calculus import ConformalFactor, substitute, zero_factor
+from lcmech.dynamics import Trajectory, _compile_solver, _slots, conformal_source_matrix
+from lcmech.evaluate import compile_vector
+from lcmech.nodes import ZERO, jets_in
 from lcmech.models import BUNDLED, bundled_path
 
 
@@ -308,6 +309,41 @@ def test_compiled_field_matches_reference_on_bundled_models():
             _assert_rel(top, ref)
             assert det == pytest.approx(ref_det, rel=1e-12), name
             _assert_rel(ode.rhs(y), [*y[ode.dim :], *ref])
+
+
+def test_constant_mass_matrix_folds_to_the_same_floats():
+    # Every bundled model has a constant M, which the field folds when it is
+    # generated; the unfolded elimination on the same M and b gives the
+    # same floats, bit for bit.
+    rng = random.Random(17)
+    for name, model, eqs, ode in _bundled_odes():
+        r, k = ode.dim, ode.top_order
+        entries = [e for row in ode.matrix_exprs for e in row]
+        assert not any(jets_in(e) for e in entries), name
+        zero_top = {Jet(i, k): ZERO for i in range(1, r + 1)}
+        rest = [normalize(substitute(res, zero_top)) for res in eqs.residuals]
+        system = compile_vector(entries + rest, _slots(r, k), model.parameters)
+        solve = _compile_solver(r)
+        for _ in range(10):
+            y = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(ode.state_size)]
+            assert ode.top_derivatives(y) == solve(system(y)), name
+
+
+@pytest.mark.parametrize("mass", ["0", "1e-13"])
+def test_singular_constant_mass_matrix_fails_at_the_first_step(tmp_path, capsys, mass):
+    # A zero pivot, or a det at or below DET_THRESHOLD, of a constant M
+    # folds into a field that raises on every call.
+    from lcmech.cli import main
+
+    path = tmp_path / "singular.model"
+    path.write_text(
+        "dim = 1\norder = 1\ncoordinates = x\nlagrangian = 1/2*m*x'^2 - 1/2*x^2\n"
+        f"sigma = x\nparameters = m: {mass}\n"
+        "simulation {\n t0 = 0.5\n t1 = 1\n dt = 0.25\n initial = x: 1, x': 0\n}\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(path), "--output", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numerical failure: singular mass matrix at t=0.5\n"
 
 
 def _reference_rk4(rhs, y0, dt, steps):

@@ -42,7 +42,7 @@ from lcmech import (
 from lcmech.calculus import ConformalFactor
 from lcmech.evaluate import sample_value
 from lcmech.nodes import contains_exp, jets_in, walk
-from lcmech.normalize import _NF_MEMO
+from lcmech.normalize import _NF_MEMO, _nf
 
 SPACE = JetSpace(dim=2, order=2)
 NAMES = ["x", "y"]
@@ -415,6 +415,39 @@ def test_text_output_reparses_to_the_same_normal_form_property(e):
     space = JetSpace(2, 2, max_jet=6)
     again = parse_expression(to_text(e, NAMES), space, NAMES)
     assert _normalized_or_error(again) == _normalized_or_error(e)
+
+
+def test_negative_powers_keep_exact_coefficients():
+    x, y = Jet(1, 0), Jet(2, 0)
+    for e, coeff in (((2 * x) ** -1, Fraction(1, 2)), ((2 * x * y) ** -3, Fraction(1, 8))):
+        ((_, value),) = _nf(e)
+        assert type(value) is Fraction and value == coeff
+    assert normalize((2 * x) ** -1) == Mul((num(Fraction(1, 2)), Pow(x, -1)))
+    assert normalize((2 * x * y) ** -3) == Mul((num(Fraction(1, 8)), Pow(x, -3), Pow(y, -3)))
+    # Sums, products and powers that come out whole are ints again.
+    half = (2 * x) ** -1
+    for e in (half + half, 2 * half, half**-1, exp(half + half)):
+        assert [type(c) for c in _nf_coefficients(_nf(e))] in ([int], [int, int]), e
+
+
+def _nf_coefficients(nf):
+    """Every coefficient of a normal form, those of its exp arguments too."""
+    for (_, exparg), coeff in nf:
+        yield coeff
+        yield from _nf_coefficients(exparg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculus_exprs())
+def test_normal_form_coefficients_are_exact_property(e):
+    try:
+        nf = _nf(e)
+    except ExprError:
+        return
+    for coeff in _nf_coefficients(nf):
+        # An int whenever the denominator is 1; never a float.
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+        assert coeff != 0
 
 
 def test_zero_factor_does_not_hide_a_zero_to_a_negative_power():
