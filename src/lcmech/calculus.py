@@ -6,7 +6,6 @@ differ only in how they differentiate an atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .nodes import (
@@ -52,7 +51,9 @@ def _derive(e: Expr, leaf) -> Expr:
         db = _derive(e.base, leaf)
         if db == ZERO or e.exponent == 0:
             return ZERO
-        return mul(Num(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db)
+        n = e.exponent - 1
+        power = e.base if n == 1 else ONE if n == 0 else Pow(e.base, n)
+        return mul(Num(Fraction(e.exponent)), power, db)
     if isinstance(e, Func):
         da = _derive(e.arg, leaf)
         if da == ZERO:
@@ -136,7 +137,6 @@ def substitute(e: Expr, mapping: dict[Expr, Expr]) -> Expr:
     return e
 
 
-@dataclass(frozen=True)
 class ConformalFactor:
     """The chart-wise conformal factor sigma(q).
 
@@ -148,12 +148,21 @@ class ConformalFactor:
     ``phi``, and ``tensors``, the partition tensors that
     ``exp_derivative_factor`` builds, keyed by sorted index multiset.  So the
     orders 1..n of one model's equations, and the F_s checks of ``verify``,
-    build each tensor once.
+    build each tensor once.  Equality and the hash read ``sigma`` alone.
     """
 
-    sigma: Expr | None = None
-    _cache: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-    tensors: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    __slots__ = ("sigma", "_cache", "tensors")
+
+    def __init__(self, sigma: Expr | None = None):
+        self.sigma = sigma
+        self._cache = {}
+        self.tensors = {}
+
+    def __eq__(self, other):
+        return type(other) is ConformalFactor and self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.sigma)
 
     @property
     def is_abstract(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,7 +75,6 @@ def partition_tensor(sigma: ConformalFactor, indices: tuple[int, ...]) -> Expr:
     return add(*terms)
 
 
-@dataclass(frozen=True)
 class BellTerm:
     """One monomial of a partial exponential Bell polynomial.
 
@@ -85,8 +83,10 @@ class BellTerm:
     s! / (c_1! ... c_s! (1!)^{c_1} ... (s!)^{c_s}).
     """
 
-    coefficient: Fraction
-    counts: tuple[int, ...]
+    __slots__ = ("coefficient", "counts")
+
+    def __init__(self, coefficient: Fraction, counts: tuple[int, ...]):
+        self.coefficient, self.counts = coefficient, counts
 
     @property
     def factor_orders(self) -> tuple[int, ...]:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .calculus import ConformalFactor, partial, substitute
 from .evaluate import compile_vector, exec_source, literal, vector_source
@@ -55,22 +53,21 @@ class SingularDynamicsError(ExprError):
         self.time = time
 
 
-@dataclass
 class ExplicitODE:
     """Explicit form q_(k) = -M^{-1} b of an equation set.
 
     State layout: all jets of order < k for each coordinate, flattened as
-    y[i-1 + r*s] = q^i_(s).
+    y[i-1 + r*s] = q^i_(s).  ``residuals`` maps the state followed by the
+    top jets to the r residuals.  ``field(y0, ..., y_{n-1})`` is dy/dt as a
+    tuple, the function RK4 calls; ``field(y0, ..., y_{n-1}, True)`` is
+    (q_(k), det M), from M q_(k) = -b.
     """
 
-    dim: int
-    top_order: int
-    matrix_exprs: list[list[Expr]]
-    # The state followed by the top jets -> the r residuals.
-    residuals: Callable = field(repr=False)
-    # field(y0, ..., y_{n-1}) -> dy/dt as a tuple, the function RK4 calls;
-    # field(y0, ..., y_{n-1}, True) -> (q_(k), det M), from M q_(k) = -b.
-    field: Callable = field(repr=False)
+    __slots__ = ("dim", "top_order", "matrix_exprs", "residuals", "field")
+
+    def __init__(self, dim: int, top_order: int, matrix_exprs: list[list[Expr]], residuals, field):
+        self.dim, self.top_order, self.matrix_exprs = dim, top_order, matrix_exprs
+        self.residuals, self.field = residuals, field
 
     @property
     def state_size(self) -> int:
@@ -161,8 +158,10 @@ def _folded_elimination(r: int, m: list[float]) -> list[str]:
     with the operations and in the order of ``_elimination``'s lines, so
     the returned lines hold only the b-side updates and the back
     substitution, with the folded values as float literals, and set
-    ``det``.  They compute the same floats.  A zero pivot or a det at or
-    below DET_THRESHOLD gives the one line ``raise singular()``.
+    ``det``.  An update by a folded zero is left out.  They compute the same
+    floats, but for the sign of a zero and where b is inf or nan.  A zero
+    pivot or a det at or below DET_THRESHOLD gives the one line
+    ``raise singular()``.
     """
     rows = [m[i * r : (i + 1) * r] for i in range(r)]
     # Swapping rows of M swaps the names of their b entries.
@@ -183,13 +182,14 @@ def _folded_elimination(r: int, m: list[float]) -> list[str]:
             f = rows[i][k] / pivot
             for j in range(k + 1, r):
                 rows[i][j] -= f * rows[k][j]
-            lines.append(f"{cs[i]} -= {literal(f)} * {cs[k]}")
+            if f != 0.0:
+                lines.append(f"{cs[i]} -= {literal(f)} * {cs[k]}")
     if abs(det) <= DET_THRESHOLD:
         return ["raise singular()"]
     lines.append(f"det = {literal(det)}")
     for k in range(r - 1, -1, -1):
         lines.append(f"x{k} = {cs[k]} / {literal(rows[k][k])}")
-        lines += [f"{cs[i]} -= {literal(rows[i][k])} * x{k}" for i in range(k)]
+        lines += [f"{cs[i]} -= {literal(rows[i][k])} * x{k}" for i in range(k) if rows[i][k]]
     return lines
 
 
@@ -303,16 +303,16 @@ def _symbolic_det(m: list[list[Expr]]) -> Expr:
     return normalize(add(*terms))
 
 
-@dataclass
 class Trajectory:
-    """Uniform-grid time series of jet states with residual diagnostics."""
+    """Uniform-grid time series of jet states with residual diagnostics:
+    ``states`` holds one state of dim * top_order floats per time, and
+    ``residuals`` the max |residual| per time."""
 
-    times: list[float]
-    states: list[list[float]]  # one state of dim * top_order floats per time
-    dim: int
-    top_order: int
-    residuals: list[float]  # per-time max |residual|
-    det_min: float
+    __slots__ = ("times", "states", "dim", "top_order", "residuals", "det_min")
+
+    def __init__(self, times, states, dim: int, top_order: int, residuals, det_min: float):
+        self.times, self.states, self.dim, self.top_order = times, states, dim, top_order
+        self.residuals, self.det_min = residuals, det_min
 
     @property
     def max_residual(self) -> float:
@@ -441,7 +441,6 @@ class DegenerateLegendreError(ExprError):
     """The velocity Hessian is singular; the Legendre map does not invert."""
 
 
-@dataclass
 class HamiltonianModel:
     """Hamiltonian picture on (q, p).
 
@@ -450,10 +449,11 @@ class HamiltonianModel:
     dH/dq^i and partial(H, i, 1) is dH/dp_i.
     """
 
-    hamiltonian: Expr
-    sigma: ConformalFactor
-    dim: int
-    params: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("hamiltonian", "sigma", "dim", "params")
+
+    def __init__(self, hamiltonian: Expr, sigma: ConformalFactor, dim: int, params=None):
+        self.hamiltonian, self.sigma, self.dim = hamiltonian, sigma, dim
+        self.params = {} if params is None else params
 
 
 def _velocity_hessian(model: LagrangianModel) -> list[list[Expr]]:

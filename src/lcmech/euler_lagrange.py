@@ -11,7 +11,6 @@ compact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import ConformalFactor, partial, total_derivative
@@ -22,6 +21,8 @@ from .nodes import (
     ExprError,
     JetSpace,
     Num,
+    ONE,
+    ZERO,
     add,
     exp,
     jets_in,
@@ -35,31 +36,50 @@ FD_GRID = 1001
 FD_STEP = 1e-3
 
 
-@dataclass(frozen=True)
 class LagrangianModel:
-    """A jet space, a Lagrangian expression, and a conformal factor."""
+    """A jet space, a Lagrangian expression, and a conformal factor.
 
-    space: JetSpace
-    lagrangian: Expr
-    sigma: ConformalFactor
-    parameters: dict[str, float] = field(default_factory=dict, compare=False)
-    coordinate_names: tuple[str, ...] = ()
+    Equality and the hash ignore ``parameters``.
+    """
 
-    def __post_init__(self):
-        for i, s in jets_in(self.lagrangian):
-            self.space.check(i, s)
-            if s > self.space.order:
+    __slots__ = ("space", "lagrangian", "sigma", "parameters", "coordinate_names")
+
+    def __init__(
+        self,
+        space: JetSpace,
+        lagrangian: Expr,
+        sigma: ConformalFactor,
+        parameters: dict[str, float] | None = None,
+        coordinate_names: tuple[str, ...] = (),
+    ):
+        self.space, self.lagrangian, self.sigma = space, lagrangian, sigma
+        self.parameters = {} if parameters is None else parameters
+        self.coordinate_names = coordinate_names
+        for i, s in jets_in(lagrangian):
+            space.check(i, s)
+            if s > space.order:
                 raise ExprError(
-                    f"Lagrangian depends on jet order {s} > declared order {self.space.order}"
+                    f"Lagrangian depends on jet order {s} > declared order {space.order}"
                 )
-        self.sigma.validate(self.space)
+        sigma.validate(space)
+
+    def _key(self):
+        return self.space, self.lagrangian, self.sigma, self.coordinate_names
+
+    def __eq__(self, other):
+        return type(other) is LagrangianModel and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class EquationSet:
     """One residual per base coordinate."""
 
-    residuals: tuple[Expr, ...]
+    __slots__ = ("residuals",)
+
+    def __init__(self, residuals: tuple[Expr, ...]):
+        self.residuals = residuals
 
     @property
     def dim(self) -> int:
@@ -123,16 +143,23 @@ def conformal_el_compact(model: LagrangianModel) -> EquationSet:
     """Exponential-weighted form, kept unexpanded:
 
     sum_{s=0}^{n} (-1)^s D_t^s ( e^{-sigma} dL/dq^i_(s) ) - e^{-sigma} phi_i L
+
+    A term whose dL/dq^i_(s), or phi_i, is a literal 0 is left out, and the
+    weight is 1 when sigma is a literal 0.
     """
     space, L, sigma = model.space, model.lagrangian, model.sigma
-    weight = exp(-sigma.expr())
+    weight = ONE if sigma.sigma == ZERO else exp(-sigma.expr())
     residuals = []
     for i in range(1, space.dim + 1):
         terms = []
         for s in range(space.order + 1):
-            sign = Num(Fraction((-1) ** s))
-            terms.append(mul(sign, total_derivative(weight * partial(L, i, s), space, s)))
-        terms.append(mul(Num(Fraction(-1)), weight, sigma.phi((i,)), L))
+            dl = partial(L, i, s)
+            if dl != ZERO:
+                sign = Num(Fraction((-1) ** s))
+                terms.append(mul(sign, total_derivative(mul(weight, dl), space, s)))
+        phi = sigma.phi((i,))
+        if phi != ZERO:
+            terms.append(mul(Num(Fraction(-1)), weight, phi, L))
         residuals.append(add(*terms))
     return EquationSet(tuple(residuals))
 

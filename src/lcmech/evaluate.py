@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .nodes import (
@@ -282,12 +281,11 @@ def sample_value(rng: random.Random) -> float:
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-@dataclass
 class EquivalenceResult:
-    ok: bool
-    trials: int
-    witness: dict | None = None
-    message: str = ""
+    __slots__ = ("ok", "trials", "witness", "message")
+
+    def __init__(self, ok: bool, trials: int, witness: dict | None = None, message: str = ""):
+        self.ok, self.trials, self.witness, self.message = ok, trials, witness, message
 
     def __bool__(self):
         return self.ok

@@ -22,8 +22,6 @@ CLI's exit paths) can tell them apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .calculus import ConformalFactor
 from .combinatorics import MAX_DERIVATIVE_ORDER
 from .nodes import Jet, JetSpace, jets_in
@@ -46,21 +44,29 @@ class ModelFileError(Exception):
         self.line = line
 
 
-@dataclass
 class SimulationBlock:
-    t0: float
-    t1: float
-    dt: float
-    initial: dict[str, float] = field(default_factory=dict)
-    initial_line: int | None = None  # the line of ``initial =``, for errors
+    """The ``simulation`` block; ``initial_line`` is the line of
+    ``initial =``, for errors."""
+
+    __slots__ = ("t0", "t1", "dt", "initial", "initial_line")
+
+    def __init__(self, t0: float, t1: float, dt: float, initial: dict, initial_line: int | None):
+        self.t0, self.t1, self.dt = t0, t1, dt
+        self.initial, self.initial_line = initial, initial_line
 
 
-@dataclass
 class ModelFile:
-    model: LagrangianModel
-    coordinates: list[str]
-    simulation: SimulationBlock | None
-    name: str = ""
+    __slots__ = ("model", "coordinates", "simulation", "name")
+
+    def __init__(
+        self,
+        model: LagrangianModel,
+        coordinates: list[str],
+        simulation: SimulationBlock | None,
+        name: str = "",
+    ):
+        self.model, self.coordinates = model, coordinates
+        self.simulation, self.name = simulation, name
 
 
 def _split_pairs(value: str, line: int | None) -> dict[str, str]:

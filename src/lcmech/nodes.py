@@ -7,20 +7,22 @@ two-argument polar-angle node.  Two extra atoms support "abstract mode",
 where the conformal factor is left unspecified and its partial derivatives
 appear as opaque symmetric symbols.
 
-Every node is a slotted frozen dataclass, so it has no ``__dict__``.  Its
-structural hash, ``hash((kind, *fields))``, is computed once, when the node
-is built, from its children's stored hashes, and kept in the ``_hash`` slot.
-Hashing a node is therefore O(1) and never recurses, however deep the tree;
-equality stays structural.
+Every node class is a plain class with ``__slots__``, so a node has no
+``__dict__``; its ``__slots__`` name its fields in the order ``__init__``
+takes them.  ``Expr`` gives every node value equality (same class, equal
+fields), a ``Name(field=value, ...)`` repr, pickling through ``__init__`` and
+immutability, all read off those slots.  A node's structural hash,
+``hash((kind, *fields))``, is computed once, when the node is built, from
+its children's stored hashes, and kept in the ``_hash`` slot.  Hashing a
+node is therefore O(1) and never recurses, however deep the tree; equality
+stays structural, and two nodes whose stored hashes differ are unequal
+without a look at their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterable, Union
-
-Numeric = Union[int, Fraction]
 
 
 class ExprError(Exception):
@@ -34,7 +36,6 @@ class JetOrderError(ExprError):
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class JetSpace:
     """Ambient jet space: r base coordinates carrying derivatives up to max_jet.
 
@@ -43,19 +44,27 @@ class JetSpace:
     defaults to 2*order + 1 (one spare order for diagnostics).
     """
 
-    dim: int
-    order: int
-    max_jet: int = -1
+    __slots__ = ("dim", "order", "max_jet")
 
-    def __post_init__(self):
-        if self.max_jet < 0:
-            object.__setattr__(self, "max_jet", 2 * self.order + 1)
-        if self.dim < 1:
+    def __init__(self, dim: int, order: int, max_jet: int = -1):
+        if max_jet < 0:
+            max_jet = 2 * order + 1
+        self.dim, self.order, self.max_jet = dim, order, max_jet
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.max_jet < 2 * self.order:
+        if max_jet < 2 * order:
             raise ValueError("max_jet must be >= 2*order")
+
+    def _key(self):
+        return self.dim, self.order, self.max_jet
+
+    def __eq__(self, other):
+        return type(other) is JetSpace and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def check(self, index: int, order: int):
         if not (1 <= index <= self.dim):
@@ -77,10 +86,31 @@ class Expr:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return False if isinstance(other, Expr) else NotImplemented
+        if self._hash != other._hash:
+            return False
+        for f in self.__slots__:
+            a, b = getattr(self, f), getattr(other, f)
+            if a is not b and a != b:
+                return False
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: nodes are immutable")
+
+    __delattr__ = __setattr__
+
     def __reduce__(self):
-        # Copies and pickles are rebuilt through __init__, which sets _hash;
-        # ``__match_args__`` lists the fields in the order __init__ takes them.
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        # Copies and pickles are rebuilt through __init__, which sets _hash.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -123,21 +153,8 @@ class Expr:
         return to_text(self)
 
 
-def _node(cls):
-    """A slotted frozen dataclass with the stored hash of ``Expr``.
-
-    Each node class writes its own ``__init__``, which sets the fields and
-    then ``_hash = hash((kind, *fields))``; a child's hash is read from its
-    slot, so hashing never recurses.
-    """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__hash__ = Expr.__hash__
-    return cls
-
-
-@_node
 class Num(Expr):
-    value: Fraction
+    __slots__ = ("value",)
     _kind = 0
 
     def __init__(self, value: Fraction):
@@ -147,12 +164,10 @@ class Num(Expr):
         _set(self, "_hash", hash((self._kind, value)))
 
 
-@_node
 class Jet(Expr):
     """The jet coordinate q^index with derivative order ``order`` (index 1-based)."""
 
-    index: int
-    order: int
+    __slots__ = ("index", "order")
     _kind = 2
 
     def __init__(self, index: int, order: int):
@@ -161,11 +176,10 @@ class Jet(Expr):
         _set(self, "_hash", hash((self._kind, index, order)))
 
 
-@_node
 class Param(Expr):
     """Opaque named constant (e.g. a mass), bound at evaluation time."""
 
-    name: str
+    __slots__ = ("name",)
     _kind = 1
 
     def __init__(self, name: str):
@@ -173,24 +187,23 @@ class Param(Expr):
         _set(self, "_hash", hash((self._kind, name)))
 
 
-@_node
 class SigmaSymbol(Expr):
     """The conformal factor left opaque (abstract mode)."""
 
+    __slots__ = ()
     _kind = 4
 
     def __init__(self):
         _set(self, "_hash", hash((self._kind,)))
 
 
-@_node
 class PhiSymbol(Expr):
     """Opaque mixed partial of the abstract conformal factor.
 
     ``indices`` is kept sorted so that the symbol is symmetric by construction.
     """
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
     _kind = 3
 
     def __init__(self, indices: tuple[int, ...]):
@@ -203,9 +216,8 @@ class PhiSymbol(Expr):
         return "phi_" + "_".join(str(i) for i in self.indices)
 
 
-@_node
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
     _kind = 9
 
     def __init__(self, terms: tuple[Expr, ...]):
@@ -216,9 +228,8 @@ class Add(Expr):
         return self.terms
 
 
-@_node
 class Mul(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
     _kind = 8
 
     def __init__(self, factors: tuple[Expr, ...]):
@@ -229,10 +240,8 @@ class Mul(Expr):
         return self.factors
 
 
-@_node
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
     _kind = 7
 
     def __init__(self, base: Expr, exponent: int):
@@ -247,12 +256,10 @@ class Pow(Expr):
 FUNCTIONS = ("exp", "sin", "cos")
 
 
-@_node
 class Func(Expr):
     """Elementary function application: exp, sin, or cos."""
 
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
     _kind = 5
 
     def __init__(self, name: str, arg: Expr):
@@ -266,12 +273,10 @@ class Func(Expr):
         return (self.arg,)
 
 
-@_node
 class Angle(Expr):
     """atan2(y, x): the polar angle of (x, y), undefined at the origin."""
 
-    y: Expr
-    x: Expr
+    __slots__ = ("y", "x")
     _kind = 6
 
     def __init__(self, y: Expr, x: Expr):
@@ -295,12 +300,13 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot convert {x!r} to Expr")
 
 
-def num(x: Numeric) -> Num:
+def num(x: int | Fraction) -> Num:
     return Num(Fraction(x))
 
 
 def add(*terms) -> Expr:
-    terms = tuple(as_expr(t) for t in terms)
+    """The sum of ``terms``, without the ones that are a literal 0."""
+    terms = tuple(t for t in map(as_expr, terms) if t.__class__ is not Num or t.value)
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -309,7 +315,9 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    factors = tuple(as_expr(f) for f in factors)
+    """The product of ``factors``, without the ones that are a literal 1.  A
+    literal 0 stays a factor: it must not hide a singular one."""
+    factors = tuple(f for f in map(as_expr, factors) if f.__class__ is not Num or f.value != 1)
     if not factors:
         return ONE
     if len(factors) == 1:
@@ -360,7 +368,7 @@ def sort_key(e: Expr):
     return (k, len(children)) + tuple(sort_key(c) for c in children)
 
 
-def walk(*roots: Expr) -> Iterable[Expr]:
+def walk(*roots: Expr) -> Iterator[Expr]:
     """Yield each distinct node object under ``roots`` once, after a parent:
     a shared subtree is walked once, not once per path to it."""
     seen: set[int] = set()

@@ -29,8 +29,8 @@ memoized ones are shared between callers.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from fractions import Fraction
-from typing import Hashable, Iterable
 
 from .nodes import (
     Add,

@@ -19,7 +19,6 @@ or decimals; decimals are converted to exact rationals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .nodes import (
@@ -51,11 +50,11 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass
 class _Token:
-    kind: str
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int):
+        self.kind, self.text, self.position = kind, text, position
 
 
 def _tokenize(text: str) -> list[_Token]:

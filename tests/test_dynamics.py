@@ -33,7 +33,13 @@ from lcmech import (
     to_explicit_ode,
 )
 from lcmech.calculus import ConformalFactor, substitute, zero_factor
-from lcmech.dynamics import Trajectory, _compile_solver, _slots, conformal_source_matrix
+from lcmech.dynamics import (
+    Trajectory,
+    _compile_solver,
+    _folded_elimination,
+    _slots,
+    conformal_source_matrix,
+)
 from lcmech.evaluate import compile_vector
 from lcmech.nodes import ZERO, jets_in
 from lcmech.models import BUNDLED, bundled_path
@@ -314,7 +320,8 @@ def test_compiled_field_matches_reference_on_bundled_models():
 def test_constant_mass_matrix_folds_to_the_same_floats():
     # Every bundled model has a constant M, which the field folds when it is
     # generated; the unfolded elimination on the same M and b gives the
-    # same floats, bit for bit.
+    # same floats (an update by a folded 0.0 is left out, so a zero may
+    # differ in sign, which == does not see).
     rng = random.Random(17)
     for name, model, eqs, ode in _bundled_odes():
         r, k = ode.dim, ode.top_order
@@ -327,6 +334,32 @@ def test_constant_mass_matrix_folds_to_the_same_floats():
         for _ in range(10):
             y = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(ode.state_size)]
             assert ode.top_derivatives(y) == solve(system(y)), name
+
+
+def test_folded_elimination_leaves_out_updates_by_zero():
+    # A row swap makes the folded factors -0.0 and 0.0 for the chiral models.
+    swapped = ["c0 = -c0", "c1 = -c1", "det = (-1.0)", "x1 = c0 / 1.0", "x0 = c1 / 1.0"]
+    assert _folded_elimination(2, [0.0, 1.0, 1.0, 0.0]) == swapped
+    assert _folded_elimination(2, [2.0, 1.0, 1.0, 3.0]) == [
+        "c0 = -c0",
+        "c1 = -c1",
+        "c1 -= 0.5 * c0",
+        "det = 5.0",
+        "x1 = c1 / 2.5",
+        "c0 -= 1.0 * x1",
+        "x0 = c0 / 2.0",
+    ]
+    for name in ("chiral_classical", "chiral_lc"):
+        model = load_model(bundled_path(name)).model
+        ode = to_explicit_ode(conformal_el_expanded(model), model)
+        m = compile_vector([e for row in ode.matrix_exprs for e in row], {}, model.parameters)(())
+        assert _folded_elimination(2, list(m)) == [
+            "c0 = -c0",
+            "c1 = -c1",
+            "det = 0.25",
+            "x1 = c0 / 0.5",
+            "x0 = c1 / (-0.5)",
+        ], name
 
 
 @pytest.mark.parametrize("mass", ["0", "1e-13"])

@@ -35,7 +35,7 @@ from lcmech import (
 from lcmech.calculus import ABSTRACT, ConformalFactor, zero_factor
 from lcmech.modelfile import load_model
 from lcmech.models import BUNDLED, bundled_path
-from lcmech.nodes import contains_exp
+from lcmech.nodes import Func, Num, Pow, contains_exp, walk
 
 
 def _model(dim, order, text, names, sigma_text=None, params=None, max_jet=None):
@@ -225,6 +225,47 @@ def test_compact_equals_weighted_expanded_abstract():
     assert equivalent(
         mul(weight, compact.residuals[0]), expanded.residuals[0], tol=1e-8, rng=rng
     )
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_compact_form_has_no_literal_zero_or_unit(name):
+    # No Num 0 or 1 (so no exp(-0) weight), no x^1 or x^0, no exp of a
+    # literal: the compact form prints no factor that is 1 or 0.
+    model = load_model(bundled_path(name)).model
+    for residual in conformal_el_compact(model).residuals:
+        for node in walk(residual):
+            assert not (isinstance(node, Num) and node.value in (0, 1)), (name, node)
+            assert not (isinstance(node, Pow) and node.exponent in (0, 1)), (name, node)
+            assert not (isinstance(node, Func) and isinstance(node.arg, Num)), (name, node)
+
+
+def test_compact_form_of_trivial_sigma_has_no_weight():
+    m = _model(1, 1, "1/2*x'^2 - 1/2*x^2", ["x"], sigma_text="0")
+    assert not contains_exp(conformal_el_compact(m).residuals[0])
+    # A term whose dL/dq_(s) is a literal 0 is left out: here s = 0.
+    m = _model(1, 1, "1/2*x'^2", ["x"], sigma_text="x")
+    (residual,) = conformal_el_compact(m).residuals
+    assert len(residual.terms) == 2
+
+
+def test_model_equality_ignores_parameters_and_factor_caches():
+    a = _model(2, 2, "1/2*m*x''^2 + k*x*y'", ["x", "y"], "x^2 + y", {"m": 1.0})
+    b = _model(2, 2, "1/2*m*x''^2 + k*x*y'", ["x", "y"], "x^2 + y", {"m": 2.0, "k": 3.0})
+    # Fill one factor's caches: the partials of sigma and the F_s tensors.
+    exp_derivative_factor(2, a.sigma, a.space)
+    assert a.sigma._cache and a.sigma.tensors and not b.sigma.tensors
+    assert a.sigma == b.sigma and hash(a.sigma) == hash(b.sigma)
+    assert a == b and hash(a) == hash(b)
+    assert a.space == JetSpace(2, 2, 6) and hash(a.space) == hash(JetSpace(2, 2, 6))
+    for other in (
+        _model(2, 2, "1/2*m*x''^2 + k*x*y'", ["x", "y"], "x^2 - y"),
+        _model(2, 2, "1/2*m*x''^2 + k*x*y'", ["x", "y"]),
+        LagrangianModel(a.space, a.lagrangian, a.sigma, coordinate_names=("u", "v")),
+        _model(2, 2, "1/2*m*x''^2 + k*x*y'", ["x", "y"], "x^2 + y", max_jet=7),
+        _model(2, 2, "1/2*m*x''^2 - k*x*y'", ["x", "y"], "x^2 + y"),
+    ):
+        assert a != other
+    assert ConformalFactor(None) == ABSTRACT != zero_factor()
 
 
 def test_trivial_sigma_collapses_to_classical():

@@ -1,10 +1,14 @@
 """Expression core: parsing, printing, normalization, jet calculus."""
 
+import copy
 import math
 import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -450,6 +454,30 @@ def test_normal_form_coefficients_are_exact_property(e):
         assert coeff != 0
 
 
+def test_add_and_mul_leave_out_literal_zero_terms_and_unit_factors():
+    x, y = Jet(1, 0), Jet(2, 0)
+    assert add(0, x, num(0)) is x
+    assert add(num(0), 0) == num(0)
+    assert add(x, y, 0) == Add((x, y))
+    assert mul(1, x, num(1)) is x
+    assert mul(num(1)) == num(1)
+    assert mul(2, x, 1, y) == Mul((num(2), x, y))
+    # A literal 0 stays a factor, so a singular factor beside it still raises.
+    singular = Pow(x - x, -1)
+    assert mul(0, 1, singular) == Mul((num(0), singular))
+    with pytest.raises(ExprError, match="zero raised to a negative power"):
+        normalize(mul(0, singular))
+
+
+def test_derivative_of_a_power_folds_the_exponents_one_and_zero():
+    x = Jet(1, 0)
+    assert partial(Pow(x, 3), 1, 0) == Mul((num(3), Pow(x, 2)))
+    assert partial(Pow(x, 2), 1, 0) == Mul((num(2), x))
+    assert partial(Pow(x, 1), 1, 0) == num(1)
+    assert total_derivative(Pow(x, 2), SPACE) == Mul((num(2), x, Jet(1, 1)))
+    assert total_derivative(Pow(x, 1), SPACE) == Jet(1, 1)
+
+
 def test_zero_factor_does_not_hide_a_zero_to_a_negative_power():
     x = Jet(1, 0)
     singular = Pow(x - x, -1)
@@ -471,22 +499,76 @@ def test_rebuilt_trees_are_equal_with_equal_hashes_property(e):
         assert hash(copy) == hash(e)
 
 
-def test_nodes_have_no_instance_dict():
-    x = Jet(1, 0)
-    nodes = [
+def _one_node_of_each_class():
+    x, y = Jet(1, 0), Jet(2, 1)
+    return [
         num(3),
         x,
         Param("a"),
         SigmaSymbol(),
         PhiSymbol((2, 1)),
-        Add((x, x)),
-        Mul((x, x)),
+        Add((x, y)),
+        Mul((x, num(2))),
         Pow(x, 2),
-        Func("sin", x),
-        Angle(x, x),
+        Func("sin", y),
+        Angle(y, x),
     ]
-    for node in nodes:
+
+
+def test_nodes_have_no_instance_dict():
+    for node in _one_node_of_each_class():
         assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def test_nodes_are_immutable_values():
+    nodes, again = _one_node_of_each_class(), _one_node_of_each_class()
+    for i, a in enumerate(nodes):
+        # Equal exactly to the node of the same class built apart.
+        for j, b in enumerate(again):
+            assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
+        assert hash(a) == hash(again[i])
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert twin == a and hash(twin) == hash(a)
+        for field in ("_hash", *type(a).__slots__):
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+            with pytest.raises(AttributeError):
+                delattr(a, field)
+        assert a == again[i] and hash(a) == hash(again[i])
+        assert a != 3 and a != (a,)
+    x = Jet(1, 0)
+    for a, b in [
+        (Jet(1, 0), Jet(1, 1)),
+        (num(1), num(2)),
+        (Add((x, num(1))), Add((num(1), x))),
+        (Pow(x, 2), Pow(x, 3)),
+        (Func("sin", x), Func("cos", x)),
+        (Angle(x, Jet(2, 0)), Angle(Jet(2, 0), x)),
+    ]:
+        assert a != b and not a == b
+
+
+def test_node_repr_names_each_field():
+    assert repr(Pow(Jet(1, 0), 2)) == "Pow(base=Jet(index=1, order=0), exponent=2)"
+    assert repr(num(Fraction(1, 2))) == "Num(value=Fraction(1, 2))"
+    assert repr(Func("exp", SigmaSymbol())) == "Func(name='exp', arg=SigmaSymbol())"
+    assert repr(Add((Param("m"), PhiSymbol((1,))))) == (
+        "Add(terms=(Param(name='m'), PhiSymbol(indices=(1,))))"
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect and ast; together they were a third of
+    # the start-up time of every CLI call.
+    src = Path(__file__).parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lcmech.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_hashing_a_deep_chain_does_not_recurse():
