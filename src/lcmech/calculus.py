@@ -144,19 +144,22 @@ class ConformalFactor:
     derivatives appear as opaque symbols, which reproduces displayed
     formulas without committing to a concrete function.
 
-    Two tables live as long as the factor: the normalized partials of
-    ``phi``, and ``tensors``, the partition tensors that
-    ``exp_derivative_factor`` builds, keyed by sorted index multiset.  So the
-    orders 1..n of one model's equations, and the F_s checks of ``verify``,
-    build each tensor once.  Equality and the hash read ``sigma`` alone.
+    Three tables live as long as the factor: the normalized partials of
+    ``phi``; ``tensors``, the partition tensors that
+    ``exp_derivative_factor`` builds, keyed by sorted index multiset; and
+    ``oracles``, the normalized F^o_s of ``exp_derivative_factor_oracle``,
+    keyed by (s, jet space).  So the orders 1..n of one model's equations,
+    and the F_s checks of ``verify``, build each tensor and each oracle order
+    once.  Equality and the hash read ``sigma`` alone.
     """
 
-    __slots__ = ("sigma", "_cache", "tensors")
+    __slots__ = ("sigma", "_cache", "tensors", "oracles")
 
     def __init__(self, sigma: Expr | None = None):
         self.sigma = sigma
         self._cache = {}
         self.tensors = {}
+        self.oracles = {}
 
     def __eq__(self, other):
         return type(other) is ConformalFactor and self.sigma == other.sigma

@@ -7,8 +7,8 @@ Subcommands:
   bell      display the partition tensors, Bell monomials, and the
             exp-derivative factors in abstract form
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
-failure.
+Exit codes: 0 success, 1 verification failure, 2 input error (an expression
+nested too deeply included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -364,6 +364,14 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ExprError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # The parser, normalize and the printer recurse once per nesting level.
+        print(
+            f"error: {E_VALUE}: expression nested too deeply "
+            f"(the recursion limit of {sys.getrecursionlimit()} was reached)",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
 
 

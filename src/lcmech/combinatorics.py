@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .calculus import ConformalFactor, total_derivative
-from .nodes import Expr, Jet, JetSpace, Num, ONE, add, exp, mul
+from .nodes import Expr, Jet, JetSpace, Num, ONE, ZERO, add, exp, mul
 from .normalize import normalize
 
 MAX_PARTITION_SIZE = 8
@@ -53,6 +53,23 @@ def bell_number(m: int) -> int:
     return len(set_partitions(m))
 
 
+@lru_cache(maxsize=None)
+def partition_classes(indices: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
+    """The set partitions of the slots of a sorted index tuple, grouped by
+    the index tuples of their blocks.
+
+    Each entry is (count, blocks): ``blocks`` is the sorted tuple of the
+    blocks' sorted index tuples, and ``count`` is (-1)^{|blocks|} times the
+    number of slot partitions that give it.  Two partitions with the same
+    blocks give the same product of mixed partials, whatever sigma is.
+    """
+    counts: dict[tuple, int] = {}
+    for blocks in set_partitions(len(indices)):
+        key = tuple(sorted(tuple(indices[pos - 1] for pos in block) for block in blocks))
+        counts[key] = counts.get(key, 0) + (-1 if len(blocks) % 2 else 1)
+    return tuple((count, key) for key, count in counts.items())
+
+
 def partition_tensor(sigma: ConformalFactor, indices: tuple[int, ...]) -> Expr:
     """Signed partition sum of mixed partials of sigma over the given indices.
 
@@ -60,18 +77,23 @@ def partition_tensor(sigma: ConformalFactor, indices: tuple[int, ...]) -> Expr:
     sum over partitions p of the slots of (-1)^{|p|} times the product over
     blocks S of the |S|-th mixed partial of sigma with respect to the
     coordinates occupying S.  Slots are distinguishable positions, so
-    repeated index values are handled uniformly.
+    repeated index values are handled uniformly.  The tensor is symmetric,
+    and the sum runs over ``partition_classes``: one term per distinct
+    product, times its count.  A product with a partial that is a literal 0
+    is left out; every partial is normalized, so it hides no singular factor.
     """
-    m = len(indices)
-    if m < 1:
+    if len(indices) < 1:
         raise ValueError("need at least one index")
     terms = []
-    for blocks in set_partitions(m):
-        sign = Num(Fraction(-1)) if len(blocks) % 2 else ONE
-        factors = [sign]
+    for count, blocks in partition_classes(tuple(sorted(indices))):
+        factors = [Num(Fraction(count))]
         for block in blocks:
-            factors.append(sigma.phi(tuple(indices[pos - 1] for pos in block)))
-        terms.append(mul(*factors))
+            phi = sigma.phi(block)
+            if phi == ZERO:
+                break
+            factors.append(phi)
+        else:
+            terms.append(mul(*factors))
     return add(*terms)
 
 
@@ -138,7 +160,8 @@ def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Ex
     order j (``combinations_with_replacement``), each weighted by its number
     of orderings c_j! / prod mult!.  The tensor of each sorted multiset of
     all the indices is built once per conformal factor and kept in its
-    ``tensors`` table, which every order s shares.  F_0 = 1.
+    ``tensors`` table, which every order s shares; a term whose tensor is a
+    literal 0 is left out.  F_0 = 1.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -165,6 +188,8 @@ def exp_derivative_factor(s: int, sigma: ConformalFactor, space: JetSpace) -> Ex
                 tensor = tensors.get(key)
                 if tensor is None:
                     tensor = tensors[key] = partition_tensor(sigma, key)
+                if tensor == ZERO:
+                    continue
                 terms.append(mul(Num(weight), tensor, *jets))
     return add(*terms)
 
@@ -174,11 +199,19 @@ def exp_derivative_factor_oracle(
 ) -> Expr:
     """Brute-force route to the same scalar: e^{sigma} D_t^s e^{-sigma}.
 
-    The exponentials cancel exactly under normalization, leaving a
-    polynomial in the jets and the partials of sigma.
+    Built one order at a time, F^o_s = e^{sigma} D_t(e^{-sigma} F^o_{s-1})
+    with F^o_0 = 1, each normalized: the exponentials cancel exactly,
+    leaving a polynomial in the jets and the partials of sigma.  Each order
+    is kept in the factor's ``oracles`` table, keyed by (s, space).
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    weight = exp(-sigma.expr())
-    derived = total_derivative(weight, space, s)
-    return normalize(exp(sigma.expr()) * derived)
+    if s == 0:
+        return ONE
+    key = (s, space)
+    out = sigma.oracles.get(key)
+    if out is None:
+        lower = exp_derivative_factor_oracle(s - 1, sigma, space)
+        derived = total_derivative(mul(exp(-sigma.expr()), lower), space)
+        out = sigma.oracles[key] = normalize(mul(exp(sigma.expr()), derived))
+    return out

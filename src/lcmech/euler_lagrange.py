@@ -89,18 +89,51 @@ class EquationSet:
         return max((s for r in self.residuals for (_, s) in jets_in(r)), default=0)
 
 
+def _binomial_sums(model: LagrangianModel, i: int) -> list[Expr]:
+    """S_k = sum_{s=k}^{n} (-1)^s C(s, k) D_t^{s-k} dL/dq^i_(s) for k = 0..n,
+    unnormalized.
+
+    The rungs D_t^a dL/dq^i_(s), a = 0..s, are one ladder per s, each rung
+    one D_t of the rung below, and every S_k reads from it.  S_0 is the
+    classical operator.  By the Leibniz rule e^{sigma} D_t^s (e^{-sigma} f)
+    = sum_k C(s, k) F_k D_t^{s-k} f, so the expanded residual is
+    S_0 + sum_{k>=1} F_k S_k - phi_i L.
+    """
+    space, L = model.space, model.lagrangian
+    sums = [[] for _ in range(space.order + 1)]
+    for s in range(space.order + 1):
+        rung = partial(L, i, s)
+        if rung == ZERO:
+            continue
+        ladder = [rung]
+        for _ in range(s):
+            rung = total_derivative(rung, space)
+            ladder.append(rung)
+        for k in range(s + 1):
+            sums[k].append(mul(Num(Fraction((-1) ** s * math.comb(s, k))), ladder[s - k]))
+    return [add(*terms) for terms in sums]
+
+
+def _deformations(model: LagrangianModel) -> list[tuple[Expr, list[Expr]]]:
+    """Per coordinate, S_0 and the unnormalized terms that the conformal
+    factor adds to it: F_k S_k for k = 1..n, and -phi_i L."""
+    space, L, sigma = model.space, model.lagrangian, model.sigma
+    factors = [exp_derivative_factor(k, sigma, space) for k in range(1, space.order + 1)]
+    out = []
+    for i in range(1, space.dim + 1):
+        classical, *sums = _binomial_sums(model, i)
+        terms = [mul(f, s) for f, s in zip(factors, sums)]
+        terms.append(mul(Num(Fraction(-1)), sigma.phi((i,)), L))
+        out.append((classical, terms))
+    return out
+
+
 def classical_el(model: LagrangianModel) -> EquationSet:
     """Residuals of the classical n-th order Euler-Lagrange system:
     sum_{s=0}^{n} (-1)^s D_t^s dL/dq^i_(s)."""
-    space, L = model.space, model.lagrangian
-    residuals = []
-    for i in range(1, space.dim + 1):
-        terms = []
-        for s in range(space.order + 1):
-            sign = Num(Fraction((-1) ** s))
-            terms.append(mul(sign, total_derivative(partial(L, i, s), space, s)))
-        residuals.append(normalize(add(*terms)))
-    return EquationSet(tuple(residuals))
+    return EquationSet(
+        tuple(normalize(_binomial_sums(model, i)[0]) for i in range(1, model.space.dim + 1))
+    )
 
 
 def conformal_rhs(model: LagrangianModel) -> tuple[Expr, ...]:
@@ -110,33 +143,21 @@ def conformal_rhs(model: LagrangianModel) -> tuple[Expr, ...]:
 
     with F_k the exp-derivative factors from the combinatorics module.
     """
-    space, L, sigma = model.space, model.lagrangian, model.sigma
-    factors = {k: exp_derivative_factor(k, sigma, space) for k in range(1, space.order + 1)}
-    out = []
-    for i in range(1, space.dim + 1):
-        terms = [mul(sigma.phi((i,)), L)]
-        for s in range(1, space.order + 1):
-            sign = Num(Fraction((-1) ** (s + 1)))
-            for a in range(s):
-                coeff = Num(Fraction(math.comb(s, a)))
-                inner = total_derivative(partial(L, i, s), space, a)
-                terms.append(mul(sign, coeff, factors[s - a], inner))
-        out.append(normalize(add(*terms)))
-    return tuple(out)
+    return tuple(
+        normalize(mul(Num(Fraction(-1)), add(*terms))) for _, terms in _deformations(model)
+    )
 
 
 def conformal_el_expanded(model: LagrangianModel) -> EquationSet:
-    """Locally conformal equations in expanded form: classical minus source.
+    """Locally conformal equations in expanded form: classical minus source,
+    normalized once per coordinate.
 
     Carries no e^{+-sigma} weight (any exp that comes from L or sigma
     stays); valid in both abstract and concrete sigma modes.
     """
-    classical = classical_el(model)
-    sources = conformal_rhs(model)
-    residuals = tuple(
-        normalize(c - s) for c, s in zip(classical.residuals, sources)
+    return EquationSet(
+        tuple(normalize(add(classical, *terms)) for classical, terms in _deformations(model))
     )
-    return EquationSet(residuals)
 
 
 def conformal_el_compact(model: LagrangianModel) -> EquationSet:

@@ -597,3 +597,19 @@ def test_cli_rejects_order_above_cap(tmp_path, capsys, command):
     assert main([command, str(model), *flags]) == 2
     _assert_value_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "simulate"])
+def test_cli_rejects_too_deep_nesting(tmp_path, capsys, command):
+    # x*(x*(...+1)+1) 300 levels deep exceeds the recursion limit: an input
+    # error, not a traceback with exit code 1.
+    body = "1"
+    for _ in range(300):
+        body = f"x*({body}+1)"
+    model = tmp_path / "deep.model"
+    model.write_text(_mutate(lagrangian=f"1/2*x'^2 + {body}"), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    flags = ["--output", str(out)] if command == "simulate" else []
+    assert main([command, str(model), *flags]) == 2
+    _assert_value_error(capsys)
+    assert not out.exists()

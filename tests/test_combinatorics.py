@@ -14,6 +14,7 @@ from lcmech import (
     bell_number,
     bell_terms,
     equivalent,
+    exp,
     exp_derivative_factor,
     exp_derivative_factor_oracle,
     is_zero,
@@ -23,6 +24,7 @@ from lcmech import (
     parse_expression,
     partition_tensor,
     set_partitions,
+    total_derivative,
 )
 from lcmech.calculus import ABSTRACT, ConformalFactor, zero_factor
 from lcmech.combinatorics import MAX_DERIVATIVE_ORDER, MAX_PARTITION_SIZE
@@ -140,6 +142,58 @@ def test_partition_tensor_concrete_values():
     t2 = partition_tensor(sigma, (1, 1))
     want = parse_expression("4*x^2 - 2", space, ["x"])
     assert is_zero(add(normalize(t2), mul(num(-1), normalize(want))))
+
+
+SIGMA_KINDS = {
+    "zero": "0",
+    "linear": "2*x - 3*y + z",
+    "quadratic": "x^2 - 2*y*z + 3*x*y",
+    "polar": "3*atan2(y, x)",
+    "abstract": None,
+}
+
+
+def _kind_sigmas(kind):
+    """(space, a fresh conformal factor of the given kind) for dims 1-3; the
+    polar angle needs dim >= 2."""
+    for dim in (1, 2, 3):
+        if kind == "polar" and dim < 2:
+            continue
+        names = ["x", "y", "z"][:dim]
+        space = JetSpace(dim=dim, order=5, max_jet=11)
+        text = SIGMA_KINDS[kind]
+        if text is None:
+            yield space, ConformalFactor(None)
+            continue
+        for q in ("y", "z")[dim - 1 :]:
+            text = text.replace(q, "x")
+        yield space, ConformalFactor(parse_expression(text, space, names))
+
+
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
+def test_partition_tensor_equals_set_partition_sum(kind):
+    # One term per set partition of the slots, literal-zero partials kept.
+    for space, sigma in _kind_sigmas(kind):
+        for m in range(1, 7):
+            for indices in ((1,) * m, tuple((k * 5) % space.dim + 1 for k in range(m))):
+                brute = []
+                for blocks in set_partitions(m):
+                    phis = [sigma.phi(tuple(indices[pos - 1] for pos in b)) for b in blocks]
+                    brute.append(mul(num((-1) ** len(blocks)), *phis))
+                got = normalize(partition_tensor(sigma, indices))
+                assert got == normalize(add(*brute)), (kind, space.dim, indices)
+
+
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
+def test_cached_oracle_equals_direct_differentiation(kind):
+    for space, sigma in _kind_sigmas(kind):
+        e = sigma.expr()
+        for s in range(1, 6):
+            direct = normalize(mul(exp(e), total_derivative(exp(-e), space, s)))
+            got = exp_derivative_factor_oracle(s, sigma, space)
+            assert got == direct, (kind, space.dim, s)
+            assert exp_derivative_factor_oracle(s, sigma, space) is got
+        assert sorted(sigma.oracles) == [(s, space) for s in range(1, 6)]
 
 
 def test_partition_tensor_trivial_sigma_vanishes():

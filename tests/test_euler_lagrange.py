@@ -188,6 +188,74 @@ def test_source_collapses_when_top_jet_absent():
 
 
 # ---------------------------------------------------------------------------
+# the expanded form against the formula, term by term
+
+SIGMA_KINDS = {
+    "zero": "0",
+    "linear": "2*x - 3*y + z",
+    "quadratic": "x^2 - 2*y*z + 3*x*y",
+    "polar": "3*atan2(y, x)",
+    "abstract": None,
+}
+
+# Every order 1-5, every dim 1-3 and every sigma kind, and order 5, dim 3
+# (the size of the ROADMAP.md headline) with a quadratic and an abstract sigma.
+EXPANDED_CASES = [
+    (1, 1, "zero"), (1, 2, "polar"), (1, 3, "abstract"),
+    (2, 1, "linear"), (2, 2, "quadratic"), (2, 3, "zero"),
+    (3, 1, "abstract"), (3, 2, "polar"), (3, 3, "quadratic"),
+    (4, 1, "quadratic"), (4, 2, "abstract"), (4, 3, "linear"),
+    (5, 1, "linear"), (5, 2, "polar"), (5, 3, "quadratic"), (5, 3, "abstract"),
+]
+
+
+def _kind_model(order, dim, kind):
+    names = ["x", "y", "z"][:dim]
+    top = " + ".join(f"{q}({order})^2" for q in names)
+    text = f"1/2*({top}) + x^2*{names[-1]}' - 3*{names[-1]}*x({order - 1})^2"
+    sigma_text = SIGMA_KINDS[kind]
+    if sigma_text not in (None, "0"):
+        for q in ("y", "z")[dim - 1 :]:
+            sigma_text = sigma_text.replace(q, "x")
+    return _model(dim, order, text, names, sigma_text, max_jet=2 * order + 1)
+
+
+def _formula_reference(model):
+    """Per coordinate, the classical operator, the source and classical
+    minus source, each built term by term as the formulas read, with one
+    D_t^a per (s, a), and normalized."""
+    space, L, sigma = model.space, model.lagrangian, model.sigma
+    n = space.order
+    F = {k: exp_derivative_factor(k, sigma, space) for k in range(1, n + 1)}
+    out = []
+    for i in range(1, space.dim + 1):
+        classical = add(
+            *(
+                mul(num((-1) ** s), total_derivative(partial(L, i, s), space, s))
+                for s in range(n + 1)
+            )
+        )
+        source = [mul(sigma.phi((i,)), L)]
+        for s in range(1, n + 1):
+            for a in range(s):
+                inner = total_derivative(partial(L, i, s), space, a)
+                coeff = num((-1) ** (s + 1) * math.comb(s, a))
+                source.append(mul(coeff, F[s - a], inner))
+        c, src = normalize(classical), normalize(add(*source))
+        out.append((c, src, normalize(add(c, mul(num(-1), src)))))
+    return out
+
+
+@pytest.mark.parametrize("order,dim,kind", EXPANDED_CASES)
+def test_expanded_equals_classical_minus_source_exactly(order, dim, kind):
+    model = _kind_model(order, dim, kind)
+    want = _formula_reference(model)
+    assert list(classical_el(model).residuals) == [c for c, _, _ in want]
+    assert list(conformal_rhs(model)) == [src for _, src, _ in want]
+    assert list(conformal_el_expanded(model).residuals) == [r for _, _, r in want]
+
+
+# ---------------------------------------------------------------------------
 # expanded vs compact
 
 
