@@ -62,16 +62,13 @@ from .euler_lagrange import (
 from .dynamics import (
     DegenerateLegendreError,
     ExplicitODE,
-    HamiltonianModel,
-    ImplicitLegendre,
+    Legendre,
     ReductionError,
     SingularDynamicsError,
     Trajectory,
-    conformal_hamilton_field,
     integrate,
     integrate_hamiltonian,
     lagrangian_hamiltonian_crosscheck,
-    legendre_first_order,
     to_explicit_ode,
 )
 from .modelfile import ModelFile, ModelFileError, load_model, parse_model_text

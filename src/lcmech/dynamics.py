@@ -6,8 +6,10 @@ M, b and an unrolled pivoted elimination are generated as one straight-line
 function of the state's scalars, and integration is deterministic fixed-step
 RK4 on the first-order reduction, generated as straight-line code per state
 size.
-The module also carries the first-order Lagrangian <-> Hamiltonian bridge:
-the Legendre transform and the locally conformal Hamiltonian vector field.
+The module also carries the first-order Lagrangian <-> Hamiltonian bridge,
+``Legendre``: a Newton inversion of p = dL/dv and the locally conformal
+Hamiltonian vector field, both read from one compiled function of (q, v),
+integrated by the same RK4 stepper.
 
 Trajectories stay the lists the stepper builds: the fields of ``Trajectory``
 and the results of ``integrate_hamiltonian`` are lists of floats, a state or
@@ -19,24 +21,15 @@ from __future__ import annotations
 import functools
 import math
 
-from .calculus import ConformalFactor, partial, substitute
+from .calculus import partial, substitute
 from .evaluate import compile_vector, exec_source, literal, vector_source
-from .nodes import (
-    Expr,
-    ExprError,
-    Jet,
-    Pow,
-    ZERO,
-    add,
-    jets_in,
-    mul,
-)
+from .nodes import Expr, ExprError, Jet, ZERO, add, jets_in, mul
 from .normalize import is_zero, normalize
 from .euler_lagrange import EquationSet, LagrangianModel
 
 DET_THRESHOLD = 1e-12
-# The Newton solve of ImplicitLegendre stops once max |dL/dv - p| is below
-# NEWTON_TOL, and fails after NEWTON_MAX_ITER steps.
+# The Newton solve of Legendre stops once max |dL/dv - p| is below
+# NEWTON_TOL * (1 + max |p|), and fails after NEWTON_MAX_ITER steps.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -441,115 +434,59 @@ class DegenerateLegendreError(ExprError):
     """The velocity Hessian is singular; the Legendre map does not invert."""
 
 
-class HamiltonianModel:
-    """Hamiltonian picture on (q, p).
+class Legendre:
+    """The Legendre map of a regular first-order model and its locally
+    conformal Hamiltonian vector field, on the flat state z = (q, p).
 
-    Momenta are encoded as order-1 jets of the same jet space, so the
-    existing partial-derivative machinery applies: partial(H, i, 0) is
-    dH/dq^i and partial(H, i, 1) is dH/dp_i.
+    One compiled function of (q, v) gives the velocity Hessian d2L/dv2
+    row-major, dL/dv, dL/dq, phi and L.  ``velocity`` inverts p = dL/dv by
+    damped Newton, each step solved with the unrolled elimination; one step
+    is exact when L is quadratic in v.  No Hamiltonian is built: by the
+    envelope relations dH/dp = v and dH/dq = -dL/dq at that velocity, the
+    textbook field
+
+        dq/dt = dH/dp,  dp/dt = -dH/dq - A dH/dp + H phi,
+        A_ij = phi_i p_j - phi_j p_i,  H = p . v - L,
+
+    is dq/dt = v, dp/dt = dL/dq - phi L + p (phi . v).
     """
 
-    __slots__ = ("hamiltonian", "sigma", "dim", "params")
-
-    def __init__(self, hamiltonian: Expr, sigma: ConformalFactor, dim: int, params=None):
-        self.hamiltonian, self.sigma, self.dim = hamiltonian, sigma, dim
-        self.params = {} if params is None else params
-
-
-def _velocity_hessian(model: LagrangianModel) -> list[list[Expr]]:
-    r = model.space.dim
-    L = model.lagrangian
-    return [
-        [normalize(partial(partial(L, i, 1), j, 1)) for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-
-
-def legendre_first_order(model: LagrangianModel) -> HamiltonianModel:
-    """Legendre transform of a regular first-order model.
-
-    p_i = dL/dq-dot^i and H = p . q-dot - L with the velocity eliminated.
-    Closed-form elimination for Lagrangians quadratic in the velocities;
-    otherwise the Hessian depends on the velocity and a per-evaluation
-    Newton solve would be required (see ImplicitLegendre).
-    """
-    if model.space.order != 1:
-        raise ExprError("Legendre transform implemented for first-order models")
-    r = model.space.dim
-    hessian = _velocity_hessian(model)
-    if any(jets_in(h) for row in hessian for h in row):
-        raise DegenerateLegendreError(
-            "Lagrangian is not quadratic in the velocities; use ImplicitLegendre"
-        )
-    det = _symbolic_det(hessian)
-    if is_zero(det):
-        raise DegenerateLegendreError("velocity Hessian is identically singular")
-    # p - c where c = dL/dv at v = 0; solve A v = p - c by Cramer's rule.
-    zero_v = {Jet(i, 1): ZERO for i in range(1, r + 1)}
-    momenta = [Jet(i, 1) for i in range(1, r + 1)]
-    targets = [
-        normalize(momenta[i - 1] - substitute(partial(model.lagrangian, i, 1), zero_v))
-        for i in range(1, r + 1)
-    ]
-    velocities = []
-    for j in range(r):
-        replaced = [[targets[i] if col == j else hessian[i][col] for col in range(r)] for i in range(r)]
-        numerator = _symbolic_det(replaced)
-        velocities.append(normalize(mul(numerator, Pow(det, -1))))
-    subs = {Jet(i + 1, 1): velocities[i] for i in range(r)}
-    h = add(
-        *(momenta[i] * velocities[i] for i in range(r)),
-        mul(-1, substitute(model.lagrangian, subs)),
-    )
-    return HamiltonianModel(
-        hamiltonian=normalize(h),
-        sigma=model.sigma,
-        dim=r,
-        params=dict(model.parameters),
-    )
-
-
-class ImplicitLegendre:
-    """Numeric Legendre transform for non-quadratic regular Lagrangians.
-
-    Velocities are recovered from p = dL/dv by a damped Newton iteration;
-    the Hamiltonian value and its derivatives follow from the envelope
-    relations dH/dp = v and dH/dq = -dL/dq at the recovered velocity.
-    """
+    __slots__ = ("dim", "_system", "_solve")
 
     def __init__(self, model: LagrangianModel):
         if model.space.order != 1:
-            raise ExprError("first-order models only")
-        self.model = model
-        self.dim = model.space.dim
-        r = self.dim
+            raise ExprError("Legendre map implemented for first-order models")
+        if model.sigma.is_abstract:
+            raise ExprError("the Legendre map needs a concrete conformal factor")
+        r = self.dim = model.space.dim
         L = model.lagrangian
-        grad_v = [partial(L, i, 1) for i in range(1, r + 1)]
-        hess = [partial(g, j, 1) for g in grad_v for j in range(1, r + 1)]
-        # (q, v) -> L, the Hessian row-major, then dL/dv.
-        self._system = compile_vector([L, *hess, *grad_v], _slots(r, 1), model.parameters)
+        grad_v = [normalize(partial(L, i, 1)) for i in range(1, r + 1)]
+        hess = [normalize(partial(g, j, 1)) for g in grad_v for j in range(1, r + 1)]
+        grad_q = [normalize(partial(L, i, 0)) for i in range(1, r + 1)]
+        phi = [model.sigma.phi((i,)) for i in range(1, r + 1)]
+        self._system = compile_vector(
+            [*hess, *grad_v, *grad_q, *phi, L], _slots(r, 1), model.parameters
+        )
         self._solve = _compile_solver(r)
 
-    def _newton_input(self, q, v, target):
-        """The Hessian at (q, v), then dL/dv - p: the solver's input, whose
-        solution is the Newton step."""
-        _, *s = self._system([*q, *v])
-        n = self.dim * self.dim
-        s[n:] = [g - t for g, t in zip(s[n:], target)]
-        return s
+    def _at(self, q, p, guess=None):
+        """The velocity at (q, p) and the compiled outputs at (q, v).
 
-    def velocity(self, q, p, guess=None) -> list[float]:
-        q = [float(x) for x in q]
-        target = [float(x) for x in p]
-        v = [float(x) for x in (guess if guess is not None else p)]
-        n = self.dim * self.dim
+        Newton stops once max |dL/dv - p| is below NEWTON_TOL (1 + max |p|):
+        the rounding of dL/dv grows with the size of p.
+        """
+        n, r = self.dim * self.dim, self.dim
+        q, p = [*map(float, q)], [*map(float, p)]
+        v = [*map(float, p if guess is None else guess)]
+        tol = NEWTON_TOL * (1.0 + max(map(abs, p)))
+        out = self._system([*q, *v])
         for _ in range(NEWTON_MAX_ITER):
-            s = self._newton_input(q, v, target)
-            base = max(map(abs, s[n:]))
-            if base < NEWTON_TOL:
-                return v
+            gap = [g - t for g, t in zip(out[n : n + r], p)]
+            base = max(map(abs, gap))
+            if base < tol:
+                return v, out
             try:
-                step, _ = self._solve(s)
+                step, _ = self._solve([*out[:n], *gap])
             except SingularDynamicsError as err:
                 raise DegenerateLegendreError(
                     "singular velocity Hessian during Newton solve"
@@ -557,69 +494,47 @@ class ImplicitLegendre:
             damping = 1.0
             while damping > 1e-4:
                 trial = [a + damping * b for a, b in zip(v, step)]
-                if max(map(abs, self._newton_input(q, trial, target)[n:])) < base:
-                    v = trial
+                trial_out = self._system([*q, *trial])
+                if max(abs(g - t) for g, t in zip(trial_out[n : n + r], p)) < base:
+                    v, out = trial, trial_out
                     break
                 damping *= 0.5
             else:
                 v = [a + b for a, b in zip(v, step)]
+                out = self._system([*q, *v])
         raise DegenerateLegendreError("Newton velocity solve did not converge")
 
-    def value(self, q, p):
-        v = self.velocity(q, p)
-        lag = self._system([*map(float, q), *v])[0]
-        return sum(float(a) * b for a, b in zip(p, v)) - lag
+    def momentum(self, q, v) -> list[float]:
+        """p = dL/dv at (q, v)."""
+        n, r = self.dim * self.dim, self.dim
+        return list(self._system([*map(float, q), *map(float, v)])[n : n + r])
+
+    def velocity(self, q, p, guess=None) -> list[float]:
+        """The v with dL/dv(q, v) = p, by Newton from ``guess`` (default p)."""
+        return self._at(q, p, guess)[0]
+
+    def value(self, q, p) -> float:
+        """H = p . v - L."""
+        v, out = self._at(q, p)
+        return sum(float(a) * b for a, b in zip(p, v)) - out[-1]
+
+    def field(self, *z) -> list[float]:
+        """dz/dt at z = (q, p), given as 2 * dim floats."""
+        n, r = self.dim * self.dim, self.dim
+        p = z[r:]
+        v, out = self._at(z[:r], p)
+        grad_q, phi, lag = out[n + r : n + 2 * r], out[n + 2 * r : n + 3 * r], out[-1]
+        phi_v = sum(f * w for f, w in zip(phi, v))
+        return [*v, *(g - f * lag + pi * phi_v for g, f, pi in zip(grad_q, phi, p))]
 
 
-def conformal_hamilton_field(ham: HamiltonianModel):
-    """The locally conformal Hamiltonian vector field as f(z) -> dz/dt on the
-    flat state z = (q, p):
-
-    dq^i/dt = dH/dp_i
-    dp_i/dt = -dH/dq^i - A_ij dH/dp_j + H phi_i,   A_ij = phi_i p_j - phi_j p_i.
-    """
-    if ham.sigma.is_abstract:
-        raise ExprError("a concrete conformal factor is required for integration")
-    r = ham.dim
-    h = ham.hamiltonian
-    exprs = [
-        h,
-        *(normalize(partial(h, i, 0)) for i in range(1, r + 1)),
-        *(normalize(partial(h, i, 1)) for i in range(1, r + 1)),
-        *(ham.sigma.phi((i,)) for i in range(1, r + 1)),
-    ]
-    system = compile_vector(exprs, _slots(r, 1), ham.params)
-
-    def field(z):
-        hv, *rest = system(z)
-        dh_dq, dh_dp, phi, p = rest[:r], rest[r : 2 * r], rest[2 * r :], z[r:]
-        # A dH/dp = phi (p . dH/dp) - p (phi . dH/dp)
-        p_v = sum(a * b for a, b in zip(p, dh_dp))
-        phi_v = sum(a * b for a, b in zip(phi, dh_dp))
-        dp = [-dq - (f * p_v - pi * phi_v) + hv * f for dq, f, pi in zip(dh_dq, phi, p)]
-        return [*dh_dp, *dp]
-
-    return field
-
-
-def conformal_source_matrix(ham: HamiltonianModel, q, p) -> list[list[float]]:
-    """The antisymmetric momentum twist A_ij = phi_i p_j - phi_j p_i at a point,
-    as a list of rows."""
-    r = ham.dim
-    phi_exprs = [ham.sigma.phi((i,)) for i in range(1, r + 1)]
-    phi = compile_vector(phi_exprs, _slots(r, 0), ham.params)([*map(float, q)])
-    p = [*map(float, p)]
-    return [[fi * pj - pi * fj for fj, pj in zip(phi, p)] for fi, pi in zip(phi, p)]
-
-
-def integrate_hamiltonian(ham: HamiltonianModel, q0, p0, t0, t1, dt):
+def integrate_hamiltonian(leg: Legendre, q0, p0, t0, t1, dt):
     """RK4 on the conformal Hamiltonian field; returns (times, qs, ps), the
     grid times and one list of r floats per time for q and for p."""
-    r = ham.dim
+    r = leg.dim
     z = [*map(float, q0), *map(float, p0)]
     steps = int(round((t1 - t0) / dt))
-    vector_field = conformal_hamilton_field(ham)
-    times, states = _stepper(2 * r)(lambda *s: vector_field(s), z, float(t0), float(dt), steps)
+    times, states = _stepper(2 * r)(leg.field, z, float(t0), float(dt), steps)
     return times, [s[:r] for s in states], [s[r:] for s in states]
 
 
@@ -637,8 +552,7 @@ def lagrangian_hamiltonian_crosscheck(
         raise ExprError("crosscheck expects a second-order reduction")
     traj = integrate(ode, init, t0, t1, dt, residual_stride=max(1, int(0.1 / dt)))
 
-    ham = legendre_first_order(model)
-    momenta = [partial(model.lagrangian, i, 1) for i in range(1, r + 1)]
-    p0 = compile_vector(momenta, _slots(r, 1), model.parameters)([*map(float, init)])
-    _, qs, _ = integrate_hamiltonian(ham, init[:r], p0, t0, t1, dt)
+    leg = Legendre(model)
+    p0 = leg.momentum(init[:r], init[r:])
+    _, qs, _ = integrate_hamiltonian(leg, init[:r], p0, t0, t1, dt)
     return max(abs(a - b) for y, q in zip(traj.states, qs) for a, b in zip(y[:r], q))

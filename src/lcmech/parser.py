@@ -24,6 +24,7 @@ from fractions import Fraction
 from .nodes import (
     Angle,
     Expr,
+    FUNCTIONS,
     Func,
     Jet,
     JetSpace,
@@ -40,8 +41,6 @@ _TOKEN = re.compile(
     r"|(?P<quotes>'{1,3})"
     r"|(?P<op>[-+*/^(),]))"
 )
-
-_FUNCTIONS = ("exp", "sin", "cos")
 
 
 class ParseError(Exception):
@@ -181,7 +180,7 @@ class _Parser:
             x = self.expr()
             self.expect(")")
             return Angle(y, x)
-        if name in _FUNCTIONS:
+        if name in FUNCTIONS:
             self.expect("(")
             arg = self.expr()
             self.expect(")")

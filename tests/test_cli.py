@@ -130,6 +130,41 @@ def test_run_verification_fault_injection_fails_with_witness():
     assert {"lhs", "rhs", "point"} <= set(failing[0]["witness"])
 
 
+def test_verify_check_draws_from_its_own_generator(capsys):
+    # The witness of one check is that of the check alone, sampled from
+    # random.Random("<seed>/<check name>"), whatever the checks before it drew.
+    import random
+
+    from lcmech import (
+        conformal_el_compact,
+        conformal_el_expanded,
+        equivalent,
+        exp,
+        load_model,
+        mul,
+        normalize,
+    )
+
+    path = bundled_path("chiral_lc")
+    assert main(["verify", str(path), "--seed", "42", "--inject-fault"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (check,) = [c for c in checks if c["name"] == "compact-vs-expanded-q2"]
+    model = load_model(path).model
+    lhs = mul(exp(model.sigma.expr()), conformal_el_compact(model).residuals[1])
+    rhs = conformal_el_expanded(model).residuals[1]
+    rhs = normalize(rhs + 2 * mul(model.sigma.phi((2,)), model.lagrangian))
+    direct = equivalent(
+        lhs,
+        rhs,
+        trials=20,
+        tol=1e-8,
+        params=dict(model.parameters),
+        rng=random.Random("42/compact-vs-expanded-q2"),
+    )
+    assert not direct
+    assert check["witness"] == direct.witness
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point (in-process via main())
 

@@ -9,21 +9,18 @@ import pytest
 
 from lcmech import (
     DegenerateLegendreError,
-    ImplicitLegendre,
     Jet,
     JetSpace,
     LagrangianModel,
+    Legendre,
     ReductionError,
     SingularDynamicsError,
     classical_el,
     conformal_el_expanded,
-    conformal_hamilton_field,
-    equivalent,
     evaluate,
     integrate,
     integrate_hamiltonian,
     lagrangian_hamiltonian_crosscheck,
-    legendre_first_order,
     load_model,
     mul,
     normalize,
@@ -38,7 +35,7 @@ from lcmech.dynamics import (
     _compile_solver,
     _folded_elimination,
     _slots,
-    conformal_source_matrix,
+    _stepper,
 )
 from lcmech.evaluate import compile_vector
 from lcmech.nodes import ZERO, jets_in
@@ -173,36 +170,46 @@ def test_singular_mass_matrix_raises():
 # Legendre transform
 
 
+def _assert_hamiltonian(m, h_text, seed):
+    """``value(q, p)`` equals the closed-form H, written with p as the
+    order-1 jet, at 20 sampled points."""
+    rng = random.Random(seed)
+    leg = Legendre(m)
+    names = list(m.coordinate_names)
+    h = parse_expression(h_text, m.space, names)
+    r = m.space.dim
+    for _ in range(20):
+        z = [rng.uniform(-2.0, 2.0) for _ in range(2 * r)]
+        point = {(i + 1, s): z[i + r * s] for s in (0, 1) for i in range(r)}
+        want = evaluate(h, point, m.parameters)
+        assert abs(leg.value(z[:r], z[r:]) - want) <= 1e-10 * (1.0 + abs(want))
+
+
 def test_legendre_quadratic_round_trip():
-    rng = random.Random(7)
     m = _model(1, 1, "1/2*mass*x'^2 - x^4", ["x"], params={"mass": 2.0})
-    ham = legendre_first_order(m)
     # H = p^2 / (2 mass) + x^4 with p encoded as the order-1 jet.
-    want = parse_expression("x'^2/(2*mass) + x^4", m.space, ["x"])
-    assert equivalent(ham.hamiltonian, want, tol=1e-10, params=m.parameters, rng=rng)
+    _assert_hamiltonian(m, "x'^2/(2*mass) + x^4", 7)
 
 
 def test_legendre_coupled_quadratic():
-    rng = random.Random(9)
     m = _model(2, 1, "1/2*(x'^2 + y'^2) + x'*y'*1/4 - x*y", ["x", "y"])
-    ham = legendre_first_order(m)
     # Invert [[1, 1/4], [1/4, 1]] explicitly: H = (8/15)(p1^2 + p2^2) - (4/15) p1 p2 + x y
-    want = parse_expression(
-        "8/15*(x'^2 + y'^2) - 4/15*x'*y' + x*y", m.space, ["x", "y"]
-    )
-    assert equivalent(ham.hamiltonian, want, tol=1e-10, rng=rng)
+    _assert_hamiltonian(m, "8/15*(x'^2 + y'^2) - 4/15*x'*y' + x*y", 9)
 
 
 def test_legendre_rejects_degenerate():
+    # L = x x' has the identically zero velocity Hessian; the map is built,
+    # and its first Newton solve fails.
     m = _model(1, 1, "x*x'", ["x"])
+    leg = Legendre(m)
     with pytest.raises(DegenerateLegendreError):
-        legendre_first_order(m)
+        leg.velocity([0.5], [1.0])
 
 
 def test_implicit_legendre_quartic_velocity():
     # L = 1/4 v^4 + 1/2 v^2 is strictly convex; p = v^3 + v.
     m = _model(1, 1, "1/4*x'^4 + 1/2*x'^2", ["x"])
-    leg = ImplicitLegendre(m)
+    leg = Legendre(m)
     v = leg.velocity([0.0], [2.0])
     assert abs(v[0] ** 3 + v[0] - 2.0) <= 1e-10
     h = leg.value([0.0], [2.0])
@@ -210,11 +217,20 @@ def test_implicit_legendre_quartic_velocity():
     assert abs(h - want) <= 1e-10
 
 
+@pytest.mark.parametrize("p", [1e6, 1e9])
+def test_newton_stop_test_is_relative_to_the_momentum(p):
+    # The rounding of dL/dv - p grows with p: about 1e-10 at p = 1e6, above
+    # an absolute 1e-12.
+    m = _model(1, 1, "1/4*x'^4 + 1/2*x'^2", ["x"])
+    (v,) = Legendre(m).velocity([0.0], [p])
+    assert abs(v**3 + v - p) <= 1e-12 * p
+
+
 def test_implicit_legendre_singular_hessian_is_degenerate():
     # L = 1/3 v^3: the Hessian 2v vanishes at the starting guess v = 0.
     m = _model(1, 1, "1/3*x'^3", ["x"])
     with pytest.raises(DegenerateLegendreError):
-        ImplicitLegendre(m).velocity([0.0], [1.0], guess=[0.0])
+        Legendre(m).velocity([0.0], [1.0], guess=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +241,10 @@ def test_conformal_field_matches_hand_expansion():
     # H = 1/2 |p|^2, sigma = a q1: dq = p,
     # dp_i = -A_ij p_j + H phi_i with A = phi p^T - p phi^T.
     m = _model(2, 1, "1/2*(x'^2 + y'^2)", ["x", "y"], sigma_text="1/2*x")
-    ham = legendre_first_order(m)
-    field = conformal_hamilton_field(ham)
+    leg = Legendre(m)
     q = np.array([0.3, -0.4])
     p = np.array([1.1, 0.7])
-    out = field([*q, *p])
+    out = leg.field(*q, *p)
     dq, dp = out[:2], out[2:]
     phi = np.array([0.5, 0.0])
     a = np.outer(phi, p) - np.outer(p, phi)
@@ -238,19 +253,67 @@ def test_conformal_field_matches_hand_expansion():
     assert np.allclose(dp, -a @ p + h * phi)
 
 
-def test_conformal_source_matrix_antisymmetric():
-    m = _model(2, 1, "1/2*(x'^2 + y'^2)", ["x", "y"], sigma_text="x*y")
-    ham = legendre_first_order(m)
-    a = np.array(conformal_source_matrix(ham, [0.7, -0.3], [0.2, 1.4]))
-    assert np.allclose(a, -a.T)
-
-
 def test_trivial_sigma_hamiltonian_flow_is_classical():
     m = _model(1, 1, "1/2*x'^2 - 1/2*x^2", ["x"])
-    ham = legendre_first_order(m)
-    _, qs, ps = integrate_hamiltonian(ham, [1.0], [0.0], 0.0, 1.0, 1e-3)
+    _, qs, ps = integrate_hamiltonian(Legendre(m), [1.0], [0.0], 0.0, 1.0, 1e-3)
     assert abs(qs[-1][0] - math.cos(1.0)) <= 1e-8
     assert abs(ps[-1][0] + math.sin(1.0)) <= 1e-8
+
+
+# Models with a velocity Hessian that is not constant, and the planar model
+# of test_integrate_hamiltonian_matches_numpy_loop: (L, sigma, names, q0, v0).
+ENERGY_MODELS = {
+    "position-dependent-mass": ("1/2*(1 + x^2)*x'^2 - 1/2*x^2", "x/4", ["x"], [0.8], [0.1]),
+    "quartic-velocity": ("1/4*x'^4 + 1/2*x'^2 - 1/2*x^2", "x^2/2", ["x"], [0.8], [0.1]),
+    "planar-oscillator": (
+        "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)",
+        "1/4*x + 1/3*y",
+        ["x", "y"],
+        [0.8, -0.3],
+        [0.1, 0.6],
+    ),
+}
+
+
+def _energy_drift(name, make_field=None):
+    """max |e^{-sigma} H - its start| along RK4 on t in [0, 1], dt = 1e-3,
+    with the Legendre field or with ``make_field(leg, model)``."""
+    text, sigma_text, names, q0, v0 = ENERGY_MODELS[name]
+    m = _model(len(names), 1, text, names, sigma_text=sigma_text)
+    leg = Legendre(m)
+    r = len(names)
+    sigma = compile_vector([m.sigma.expr()], _slots(r, 0), {})
+    z0 = [*q0, *leg.momentum(q0, v0)]
+    f = leg.field if make_field is None else make_field(leg, m)
+    _, states = _stepper(2 * r)(f, z0, 0.0, 1e-3, 1000)
+    weighted = [math.exp(-sigma(z[:r])[0]) * leg.value(z[:r], z[r:]) for z in states]
+    return max(abs(w - weighted[0]) for w in weighted)
+
+
+@pytest.mark.parametrize("name", list(ENERGY_MODELS))
+def test_conformal_energy_is_conserved(name):
+    # d/dt H = H phi . v along the field, so e^{-sigma} H is constant.
+    assert _energy_drift(name) <= 1e-10
+
+
+def _without_momentum_term(leg, m):
+    """The Legendre field with its p (phi . v) term dropped."""
+    r = leg.dim
+    phi = compile_vector([m.sigma.phi((i,)) for i in range(1, r + 1)], _slots(r, 0), {})
+
+    def field(*z):
+        q, p = z[:r], z[r:]
+        phi_v = sum(f * w for f, w in zip(phi(q), leg.velocity(q, p)))
+        out = leg.field(*z)
+        return [*out[:r], *(d - pi * phi_v for d, pi in zip(out[r:], p))]
+
+    return field
+
+
+@pytest.mark.parametrize("name", list(ENERGY_MODELS))
+def test_conformal_energy_drifts_without_the_momentum_term(name):
+    # Negative control: the energy test sees a wrong twist.
+    assert _energy_drift(name, _without_momentum_term) > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +329,14 @@ def test_crosscheck_conformal_free_particle():
 def test_crosscheck_conformal_oscillator():
     m = _model(1, 1, "1/2*x'^2 - 1/2*x^2", ["x"], sigma_text="1/4*x")
     gap = lagrangian_hamiltonian_crosscheck(m, [0.8, 0.1], 0.0, 1.0, 1e-3)
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["position-dependent-mass", "quartic-velocity"])
+def test_crosscheck_velocity_dependent_hessian(name):
+    text, sigma_text, names, q0, v0 = ENERGY_MODELS[name]
+    m = _model(1, 1, text, names, sigma_text=sigma_text)
+    gap = lagrangian_hamiltonian_crosscheck(m, [*q0, *v0], 0.0, 1.0, 1e-3)
     assert gap <= 1e-6
 
 
@@ -412,18 +483,20 @@ def test_integrate_matches_numpy_rk4_reference():
             _assert_rel(got_col, want_col)
 
 
-def _reference_hamilton_field(ham, z):
-    """dz/dt from the interpreter and numpy: every entry evaluated on a point
-    dict, the momentum twist A as an outer-product matrix."""
-    r, h = ham.dim, ham.hamiltonian
+def _reference_hamilton_field(h, m, z):
+    """dz/dt of the textbook field from the interpreter and numpy, for a
+    Hamiltonian h written with p as the order-1 jet: dq = dH/dp,
+    dp = -dH/dq - A dH/dp + H phi, every entry evaluated on a point dict and
+    the momentum twist A as an outer-product matrix."""
+    r = m.space.dim
     point = {(i + 1, s): float(z[i + r * s]) for s in (0, 1) for i in range(r)}
     coords = range(1, r + 1)
-    dh_dq = np.array([evaluate(normalize(partial(h, i, 0)), point, ham.params) for i in coords])
-    dh_dp = np.array([evaluate(normalize(partial(h, i, 1)), point, ham.params) for i in coords])
-    phi = np.array([evaluate(ham.sigma.phi((i,)), point, ham.params) for i in coords])
+    dh_dq = np.array([evaluate(normalize(partial(h, i, 0)), point, m.parameters) for i in coords])
+    dh_dp = np.array([evaluate(normalize(partial(h, i, 1)), point, m.parameters) for i in coords])
+    phi = np.array([evaluate(m.sigma.phi((i,)), point, m.parameters) for i in coords])
     p = np.asarray(z[r:], dtype=float)
     a = np.outer(phi, p) - np.outer(p, phi)
-    hv = evaluate(h, point, ham.params)
+    hv = evaluate(h, point, m.parameters)
     return np.concatenate([dh_dp, -dh_dq - a @ dh_dp + hv * phi])
 
 
@@ -431,13 +504,13 @@ def test_integrate_hamiltonian_matches_numpy_loop():
     m = _model(
         2, 1, "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)", ["x", "y"], sigma_text="1/4*x + 1/3*y"
     )
-    ham = legendre_first_order(m)
-    field = conformal_hamilton_field(ham)
+    h = parse_expression("1/2*(x'^2 + y'^2) + 1/2*(x^2 + y^2)", m.space, ["x", "y"])
+    leg = Legendre(m)
     dt, steps = 1e-3, 300
     z0 = [0.8, -0.3, 0.1, 0.6]
-    _assert_rel(field(z0), _reference_hamilton_field(ham, z0))
-    ref = _reference_rk4(lambda z: _reference_hamilton_field(ham, z), z0, dt, steps)
-    times, got_q, got_p = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
+    _assert_rel(leg.field(*z0), _reference_hamilton_field(h, m, z0))
+    ref = _reference_rk4(lambda z: _reference_hamilton_field(h, m, z), z0, dt, steps)
+    times, got_q, got_p = integrate_hamiltonian(leg, z0[:2], z0[2:], 0.0, steps * dt, dt)
     assert len(times) == steps + 1
     for got, want in ((got_q, ref[:, :2]), (got_p, ref[:, 2:])):
         for got_col, want_col in zip(np.array(got).T, want.T):
@@ -489,11 +562,11 @@ def test_integrate_hamiltonian_is_bit_identical_to_list_stepper():
     m = _model(
         2, 1, "1/2*(x'^2 + y'^2) - 1/2*(x^2 + y^2)", ["x", "y"], sigma_text="1/4*x + 1/3*y"
     )
-    ham = legendre_first_order(m)
+    leg = Legendre(m)
     dt, steps = 1e-3, 300
     z0 = [0.8, -0.3, 0.1, 0.6]
-    want_t, want_z = _list_rk4(conformal_hamilton_field(ham), z0, 0.0, dt, steps)
-    times, qs, ps = integrate_hamiltonian(ham, z0[:2], z0[2:], 0.0, steps * dt, dt)
+    want_t, want_z = _list_rk4(lambda z: leg.field(*z), z0, 0.0, dt, steps)
+    times, qs, ps = integrate_hamiltonian(leg, z0[:2], z0[2:], 0.0, steps * dt, dt)
     assert times == want_t
     assert np.hstack([qs, ps]).tolist() == want_z
 
